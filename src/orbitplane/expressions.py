@@ -5,7 +5,8 @@ for imaginary literals), the variable ``z``, the operators ``+ - * / ^``,
 parentheses, and a registry of entire unary primitives (``exp``, ``sin``,
 ``cos`` by default).  Anything that could break entirety is rejected at
 parse time: every denominator must be a nonzero constant and every
-exponent a literal non-negative integer.
+exponent a literal non-negative integer.  Literals must be finite and
+expressions at most ``MAX_DEPTH`` levels deep.
 
 Evaluation is total.  Intermediate overflow saturates to the largest
 representable magnitude and raises a flag instead of an exception, so
@@ -16,6 +17,7 @@ grid classification bit-identical with per-point classification.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Callable, Union
@@ -35,6 +37,11 @@ __all__ = [
 # Saturation target for overflowed evaluations: largest representable
 # magnitude, kept real so |value| is itself representable.
 SATURATION = complex(np.finfo(np.float64).max, 0.0)
+
+# Deepest expression the parser accepts, counted both in tree levels and
+# in nested subexpressions.  Evaluation, printing and differentiation
+# recurse once per level, and the parser once per nesting.
+MAX_DEPTH = 100
 
 
 # ---------------------------------------------------------------------------
@@ -354,6 +361,7 @@ class _Parser:
         self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
+        self.nesting = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.index]
@@ -378,6 +386,7 @@ class _Parser:
             raise ExprSyntaxError(
                 f"unexpected token {tok.text!r}", tok.pos,
                 "operator or end of input")
+        self.check_depth(node, 0)
         return node
 
     def expr(self) -> Node:
@@ -401,10 +410,17 @@ class _Parser:
 
     def unary(self) -> Node:
         tok = self.peek()
+        self.nesting += 1
+        if self.nesting > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", tok.pos)
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            return Neg(self.unary())
-        return self.power()
+            node = Neg(self.unary())
+        else:
+            node = self.power()
+        self.nesting -= 1
+        return node
 
     def power(self) -> Node:
         base = self.atom()
@@ -419,9 +435,12 @@ class _Parser:
         tok = self.advance()
         if tok.kind == "number":
             text = tok.text
-            if text.endswith("i"):
-                return Const(complex(0.0, float(text[:-1] or "1")))
-            return Const(complex(float(text), 0.0))
+            imaginary = text.endswith("i")
+            value = float(text[:-1] or "1") if imaginary else float(text)
+            if not math.isfinite(value):
+                raise ExprSyntaxError(f"literal {text!r} overflows", tok.pos,
+                                      "a finite number")
+            return Const(complex(0.0, value) if imaginary else complex(value, 0.0))
         if tok.kind == "name":
             if tok.text == "z":
                 return Var()
@@ -443,7 +462,13 @@ class _Parser:
             f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input",
             tok.pos, "number, 'z', 'i', function call or '('")
 
+    def check_depth(self, node: Node, pos: int) -> None:
+        # A tree has no more levels than the source has tokens.
+        if len(self.tokens) > MAX_DEPTH:
+            _check_depth(node, pos)
+
     def _as_nonzero_const(self, node: Node, pos: int) -> Const:
+        self.check_depth(node, pos)
         value = _constant_value(node)
         if value is None:
             raise NonEntireError("denominator must be a constant", pos)
@@ -452,6 +477,7 @@ class _Parser:
         return Const(value)
 
     def _as_int_exponent(self, node: Node, pos: int) -> int:
+        self.check_depth(node, pos)
         value = _constant_value(node)
         if value is None:
             raise NonEntireError("exponent must be a constant integer", pos)
@@ -462,18 +488,31 @@ class _Parser:
         return int(value.real)
 
 
-def _contains_var(node: Node) -> bool:
-    if isinstance(node, Var):
-        return True
-    if isinstance(node, (Const,)):
-        return False
+def _children(node: Node) -> tuple:
     if isinstance(node, (Neg, Call)):
-        return _contains_var(node.arg)
+        return (node.arg,)
     if isinstance(node, Pow):
-        return _contains_var(node.base)
+        return (node.base,)
     if isinstance(node, Div):
-        return _contains_var(node.num)
-    return _contains_var(node.left) or _contains_var(node.right)
+        return (node.num, node.den)
+    if isinstance(node, (Add, Sub, Mul)):
+        return (node.left, node.right)
+    return ()
+
+
+def _check_depth(node: Node, pos: int) -> None:
+    """Reject trees deeper than MAX_DEPTH, walking them without recursion."""
+    stack = [(node, 1)]
+    while stack:
+        node, depth = stack.pop()
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", pos)
+        stack.extend((child, depth + 1) for child in _children(node))
+
+
+def _contains_var(node: Node) -> bool:
+    return isinstance(node, Var) or any(_contains_var(c) for c in _children(node))
 
 
 def _constant_value(node: Node) -> complex | None:

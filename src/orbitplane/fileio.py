@@ -47,13 +47,25 @@ def encode_complex(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
 
 
+def _umask() -> int:
+    mask = os.umask(0)
+    os.umask(mask)
+    return mask
+
+
 def atomic_write_bytes(path, data: bytes) -> None:
+    """Write ``data`` to ``path`` via a renamed temporary file.
+
+    The file gets the mode a plain ``open`` would give it (0o666 less
+    the umask), not the owner-only mode of the temporary file.
+    """
     path = os.fspath(path)
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
+            os.fchmod(fd, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -320,11 +320,12 @@ def _run_sinz(outdir, emit) -> dict:
                                      for r, s in probe.per_radius]))
 
     # Resolution probe: component counts as the column count doubles
-    # (reported, not asserted).
+    # (reported, not asserted).  The finest grid is the one classified
+    # above.
     counts = []
     for cols in (100, 200, 400):
         g = GridSpec(Rect(-10.0, 10.0, -5.0, 5.0), cols, cols // 2)
-        lab = label_components(classify_grid(f, g, policy),
+        lab = label_components(pc if g == grid else classify_grid(f, g, policy),
                                PointClass.UNBOUNDED_SUSPECT, 4)
         counts.append({"columns": cols, "components": len(lab.census)})
     checks.append(_check("resolution_probe", True, reported_only=True,

@@ -48,6 +48,15 @@ def test_parse_check_rejects_non_entire(tmp_path, capsys):
     validator().validate(out)
 
 
+@pytest.mark.parametrize("source", ["+".join(["z"] * 3000), "z*1e400"],
+                         ids=["sum-of-3000-terms", "huge-literal"])
+def test_parse_check_rejects_deep_and_non_finite(tmp_path, capsys, source):
+    assert run(tmp_path, "parse-check", "--f", source) == 2
+    out = json.loads(capsys.readouterr().out)
+    assert out["kind"] == "error"
+    validator().validate(out)
+
+
 def test_usage_error_exit_code(tmp_path):
     assert run(tmp_path, "no-such-command") == 2
     assert run(tmp_path, "minmod", "--f", "z^2") == 2  # missing --r

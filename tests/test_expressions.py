@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from orbitplane.errors import ExprSyntaxError, NonEntireError
-from orbitplane.expressions import (FunctionExpression, evaluate,
+from orbitplane.expressions import (MAX_DEPTH, FunctionExpression, evaluate,
                                     evaluate_with_overflow, parse,
                                     register_primitive)
 
@@ -103,9 +103,40 @@ def test_overflow_saturates_and_flags():
     assert np.isfinite(values).all()
 
 
-def test_huge_literal_saturates():
-    value, flagged = evaluate_with_overflow(parse("1e999"), 0)
+def test_overflowing_constant_saturates():
+    value, flagged = evaluate_with_overflow(parse("1e308*10"), 0)
     assert flagged and math.isfinite(value.real)
+
+
+@pytest.mark.parametrize("source", ["1e999", "z*1e400", "z^(1e400)", "1e400i"])
+def test_non_finite_literal_rejected(source):
+    with pytest.raises(ExprSyntaxError):
+        parse(source)
+
+
+@pytest.mark.parametrize("source", [
+    "+".join(["z"] * 3000),
+    "exp(" * 400 + "z" + ")" * 400,
+    "(" * 2000 + "z" + ")" * 2000,
+    "-" * 3000 + "z",
+    "z/(" + "+".join(["1"] * 3000) + ")",
+    "*".join(["z"] * (MAX_DEPTH + 1)),
+], ids=["long-sum", "nested-calls", "nested-parens", "negations",
+        "long-denominator", "one-past-limit"])
+def test_too_deep_expression_rejected(source):
+    with pytest.raises(ExprSyntaxError):
+        parse(source)
+
+
+def test_expression_at_depth_limit_accepted():
+    levels = MAX_DEPTH - 1
+    f = parse("sin(" * levels + "z" + ")" * levels)
+    x, slope = 0.5, 1.0
+    for _ in range(levels):
+        slope *= math.cos(x)
+        x = math.sin(x)
+    assert f(0.5) == pytest.approx(x, rel=1e-12)
+    assert f.derivative()(0.5) == pytest.approx(slope, rel=1e-12)
 
 
 def test_evaluation_is_deterministic():

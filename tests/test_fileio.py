@@ -28,6 +28,19 @@ def test_atomic_write_replaces_not_appends(tmp_path):
     assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 
 
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600),
+                                         (0o002, 0o664)])
+def test_atomic_write_mode_follows_umask(tmp_path, umask, mode):
+    old = os.umask(umask)
+    try:
+        path = tmp_path / "a.txt"
+        fileio.atomic_write_text(path, "one")
+        fileio.atomic_write_text(path, "two")
+    finally:
+        os.umask(old)
+    assert path.stat().st_mode & 0o777 == mode
+
+
 def test_curves_csv_blank_line_between_curves(tmp_path):
     a = SampledCurve(np.array([0j, 1 + 0j, 1j]), closed=True)
     b = SampledCurve(np.array([2 + 0j, 3 + 0j, 3 + 1j]), closed=True)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from collections import deque
 
@@ -7,7 +8,8 @@ import pytest
 from orbitplane.domains import Rect
 from orbitplane.errors import RadiusOutsideWindow
 from orbitplane.expressions import parse
-from orbitplane.orbits import OrbitPolicy, PointClass, classify_point
+from orbitplane.orbits import (OrbitPolicy, PointClass, classify_point,
+                               iterate_orbit)
 from orbitplane.raster import (GridSpec, boundary_pixels,
                                classification_from_array, classify_grid,
                                label_components, spiders_web_probe)
@@ -15,6 +17,18 @@ from orbitplane.raster import (GridSpec, boundary_pixels,
 PI = math.pi
 U = int(PointClass.UNBOUNDED_SUSPECT)
 B = int(PointClass.BOUNDED_SUSPECT)
+
+# SHA-256 of classes.tobytes() for sin z on [-10,10]x[-5,5] at 400x200 with
+# the default policy.  Work on the grid kernel must keep it: a faster scan
+# may not move a single pixel.
+SIN_400_CLASSES_SHA256 = (
+    "62cdfacbf4eaf2be997ac7fbe6501ff4e819dd16a03a1d83de02cb8251421cc7")
+
+
+@pytest.fixture(scope="module")
+def sin_400():
+    grid = GridSpec(Rect(-10, 10, -5, 5), 400, 200)
+    return classify_grid(parse("sin(z)"), grid, OrbitPolicy())
 
 
 def flood_fill_census(mask, connectivity):
@@ -78,6 +92,52 @@ def test_classify_grid_matches_classify_point():
         for ix in range(grid.nx):
             assert pc.classes[iy, ix] == int(
                 classify_point(f, complex(centers[iy, ix]), pol))
+
+
+SHORT_BUDGET = OrbitPolicy(budget=6, escape_radius=30.0, cycle_tol=1e-2,
+                           cycle_window=8)
+
+
+@pytest.mark.parametrize("source, window, policy, periods", [
+    # most pixels escape within nine steps (the working set is compacted);
+    # the rest creep towards the parabolic fixed point 0 all budget long
+    ("sin(z)", Rect(-10.0, 10.0, -5.0, 5.0), OrbitPolicy(), set()),
+    ("z^2 - 1", Rect(-2.0, 2.0, -1.0, 1.0), OrbitPolicy(), {2}),
+    ("z^2 - 1.3107", Rect(-2.0, 2.0, -1.0, 1.0), OrbitPolicy(), {4}),
+    # budget ends while pixels still wait to confirm a near-return, so a
+    # lock one step late turns a bounded pixel undecided
+    ("cos(z) + z", Rect(-10.0, 10.0, -5.0, 5.0), SHORT_BUDGET, {1}),
+    ("z^2 - 1", Rect(-2.0, 2.0, -1.0, 1.0),
+     OrbitPolicy(budget=10, escape_radius=4.0, cycle_tol=1e-2, cycle_window=8),
+     {2}),
+    # budget-exhausted pixels on both sides of the bounded headroom 1.0
+    ("sin(z)", Rect(-10.0, 10.0, -5.0, 5.0),
+     OrbitPolicy(budget=30, escape_radius=100.0), set()),
+    # the chaotic logistic map with a coarse tolerance: coincidental
+    # near-returns fail to confirm and the rescan finds several lags at
+    # once, of which the smallest must win
+    ("4*z*(1-z)", Rect(0.0, 1.0, -1e-6, 1e-6),
+     OrbitPolicy(budget=20, escape_radius=4.0, cycle_tol=0.1, cycle_window=8),
+     {1, 2, 3, 4, 5, 6}),
+], ids=["sin", "period-2", "period-4", "short-budget-fixed-point",
+        "short-budget-period-2", "headroom", "chaotic"])
+def test_classify_grid_matches_classify_point_grids(source, window, policy,
+                                                    periods):
+    f = parse(source)
+    grid = GridSpec(window, 40, 20)
+    pc = classify_grid(f, grid, policy)
+    seen = set()
+    for (iy, ix), z0 in np.ndenumerate(grid.pixel_centers()):
+        verdict = iterate_orbit(f, complex(z0), policy)
+        if verdict.period:
+            seen.add(verdict.period)
+        assert pc.classes[iy, ix] == int(classify_point(f, complex(z0), policy))
+    assert seen == periods
+
+
+def test_classify_grid_sin_400_classes_pinned(sin_400):
+    digest = hashlib.sha256(sin_400.classes.tobytes()).hexdigest()
+    assert digest == SIN_400_CLASSES_SHA256
 
 
 def test_classify_grid_serial_rerun_identical():
@@ -153,6 +213,55 @@ def test_label_against_flood_fill_oracle():
         assert [s.pixels for s in lab.census] == expect, (trial, conn)
         # labels partition the mask
         assert int((lab.labels > 0).sum()) == int(mask.sum())
+
+
+def test_label_ids_follow_first_pixel_order():
+    rng = np.random.default_rng(7)
+    for conn in (4, 8):
+        mask = rng.uniform(size=(60, 80)) < 0.45
+        m = np.where(mask, U, B).astype(np.uint8)
+        lab = label_components(classification_from_array(m),
+                               PointClass.UNBOUNDED_SUSPECT, conn)
+        flat = lab.labels.ravel()
+        ids_in_scan_order = flat[flat > 0]
+        _, first = np.unique(ids_in_scan_order, return_index=True)
+        assert len(first) == len(lab.census) > 1
+        assert np.all(np.diff(first) > 0)  # id k+1 starts after id k
+        assert sorted(s.component_id for s in lab.census) == \
+            list(range(1, len(lab.census) + 1))
+
+
+def _scipy_labels(mask, connectivity):
+    ndimage = pytest.importorskip("scipy.ndimage")
+    structure = ndimage.generate_binary_structure(2, 1 if connectivity == 4 else 2)
+    labels, _ = ndimage.label(mask, structure=structure)
+    return labels
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_label_matches_scipy_on_random_masks(connectivity):
+    rng = np.random.default_rng(99)
+    for density in (0.3, 0.5, 0.6, 0.7):
+        mask = rng.uniform(size=(200, 200)) < density
+        m = np.where(mask, U, B).astype(np.uint8)
+        lab = label_components(classification_from_array(m),
+                               PointClass.UNBOUNDED_SUSPECT, connectivity)
+        assert np.array_equal(lab.labels, _scipy_labels(mask, connectivity))
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("target", [PointClass.UNBOUNDED_SUSPECT,
+                                    PointClass.BOUNDED_SUSPECT])
+def test_label_matches_scipy_on_sin_grid(sin_400, target, connectivity):
+    lab = label_components(sin_400, target, connectivity)
+    mask = sin_400.classes == int(target)
+    expect = _scipy_labels(mask, connectivity)
+    assert np.array_equal(lab.labels, expect)
+    sizes = np.bincount(expect.ravel())[1:]
+    assert [s.pixels for s in lab.census] == sorted(sizes.tolist(), reverse=True)
+    for s in lab.census:
+        ys, xs = np.nonzero(expect == s.component_id)
+        assert s.bbox == (xs.min(), xs.max(), ys.min(), ys.max())
 
 
 def test_jordan_property_on_lattice():
