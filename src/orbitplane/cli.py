@@ -18,6 +18,7 @@ import json
 import os
 import re
 import sys
+import zipfile
 
 import numpy as np
 
@@ -276,7 +277,8 @@ def _cmd_minmod(args, outdir):
 
     def enc(e):
         return {"value": e.value, "arg_extremum": e.arg_extremum,
-                "samples_used": e.samples_used, "refined": e.refined}
+                "samples_used": e.samples_used, "refined": e.refined,
+                "evaluations": e.evaluations, "stop": e.stop}
 
     report = {"kind": "minmod", "function": args.f, "radius": args.r,
               "n_coarse": args.n_coarse, "tol": args.tol,
@@ -294,6 +296,7 @@ def _cmd_minmod_iterate(args, outdir):
               "n_max": args.n_max, "blow_up": args.blow_up,
               "verdict": rep.verdict, "witness": rep.witness,
               "sequence": list(rep.sequence),
+              "arguments": list(rep.arguments),
               "heuristic_note": _HEURISTIC_NOTE}
     return 0, report, "minmod_iterate.json"
 
@@ -406,12 +409,25 @@ def _cmd_render(args, outdir):
     return 0, report, f"{args.prefix}.json"
 
 
+def _label_input(args, outdir):
+    """Components of ``--target`` in the ``--input`` classification archive.
+
+    A relative ``--input`` that does not exist from the working directory
+    is read from the output directory, where ``render`` writes it.  A
+    missing or unreadable archive is a usage error.
+    """
+    path = args.input
+    if not (os.path.isabs(path) or os.path.exists(path)):
+        path = os.path.join(outdir, path)
+    try:
+        pc = fileio.load_classification(path)
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile) as exc:
+        raise SystemExit2(f"cannot read --input {args.input!r}: {exc}") from exc
+    return label_components(pc, args.target, args.connectivity)
+
+
 def _cmd_components(args, outdir):
-    pc = fileio.load_classification(os.path.join(outdir, args.input)
-                                    if not os.path.isabs(args.input)
-                                    and not os.path.exists(args.input)
-                                    else args.input)
-    lab = label_components(pc, args.target, args.connectivity)
+    lab = _label_input(args, outdir)
     report = {
         "kind": "components", "input": args.input,
         "target": args.target.name, "connectivity": args.connectivity,
@@ -427,11 +443,7 @@ def _cmd_components(args, outdir):
 
 
 def _cmd_sw_probe(args, outdir):
-    pc = fileio.load_classification(os.path.join(outdir, args.input)
-                                    if not os.path.isabs(args.input)
-                                    and not os.path.exists(args.input)
-                                    else args.input)
-    lab = label_components(pc, args.target, args.connectivity)
+    lab = _label_input(args, outdir)
     radii = [float(r) for r in args.radii.split(",")]
     rep = spiders_web_probe(lab, args.center, radii)
     report = {

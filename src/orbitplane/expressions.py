@@ -5,8 +5,9 @@ for imaginary literals), the variable ``z``, the operators ``+ - * / ^``,
 parentheses, and a registry of entire unary primitives (``exp``, ``sin``,
 ``cos`` by default).  Anything that could break entirety is rejected at
 parse time: every denominator must be a nonzero constant and every
-exponent a literal non-negative integer.  Literals must be finite and
-expressions at most ``MAX_DEPTH`` levels deep.
+exponent a literal non-negative integer.  Literals, and the constants
+folded into denominators and exponents, must be finite, and expressions
+at most ``MAX_DEPTH`` levels deep.
 
 Evaluation is total.  Intermediate overflow saturates to the largest
 representable magnitude and raises a flag instead of an exception, so
@@ -469,7 +470,7 @@ class _Parser:
 
     def _as_nonzero_const(self, node: Node, pos: int) -> Const:
         self.check_depth(node, pos)
-        value = _constant_value(node)
+        value = _constant_value(node, pos)
         if value is None:
             raise NonEntireError("denominator must be a constant", pos)
         if value == 0:
@@ -478,7 +479,7 @@ class _Parser:
 
     def _as_int_exponent(self, node: Node, pos: int) -> int:
         self.check_depth(node, pos)
-        value = _constant_value(node)
+        value = _constant_value(node, pos)
         if value is None:
             raise NonEntireError("exponent must be a constant integer", pos)
         if value.imag != 0.0 or value.real != int(value.real):
@@ -515,13 +516,20 @@ def _contains_var(node: Node) -> bool:
     return isinstance(node, Var) or any(_contains_var(c) for c in _children(node))
 
 
-def _constant_value(node: Node) -> complex | None:
-    """Value of a variable-free subtree, or None if it contains ``z``."""
+def _constant_value(node: Node, pos: int) -> complex | None:
+    """Value of a variable-free subtree, or None if it contains ``z``.
+
+    A value that overflows anywhere in its evaluation is rejected rather
+    than folded to its saturated stand-in.
+    """
     if _contains_var(node):
         return None
     overflow = np.zeros(1, dtype=bool)
     with np.errstate(all="ignore"):
         value = node._eval(np.zeros(1, dtype=np.complex128), overflow)
+    if overflow[0]:
+        raise ExprSyntaxError("constant expression overflows", pos,
+                              "a finite constant")
     return complex(value[0])
 
 
@@ -533,15 +541,17 @@ class FunctionExpression:
     """A validated entire function of one complex variable.
 
     Immutable after construction; the symbolic derivative is computed
-    eagerly and cached, so instances can be shared freely across threads.
+    eagerly and its expression is built once, on first use, so instances
+    can be shared freely across threads.
     """
 
-    __slots__ = ("root", "derivative_root", "_source")
+    __slots__ = ("root", "derivative_root", "_source", "_derivative_expr")
 
     def __init__(self, root: Node):
         object.__setattr__(self, "root", root)
         object.__setattr__(self, "derivative_root", root._derivative())
         object.__setattr__(self, "_source", root._source())
+        object.__setattr__(self, "_derivative_expr", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("FunctionExpression is immutable")
@@ -550,7 +560,11 @@ class FunctionExpression:
         return evaluate(self, z)
 
     def derivative(self) -> "FunctionExpression":
-        return FunctionExpression(self.derivative_root)
+        if self._derivative_expr is None:
+            # a race builds two equal expressions; either may be kept
+            object.__setattr__(self, "_derivative_expr",
+                               FunctionExpression(self.derivative_root))
+        return self._derivative_expr
 
     def to_source(self) -> str:
         """Canonical fully parenthesized source; ``parse`` round-trips it."""

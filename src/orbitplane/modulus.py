@@ -1,11 +1,15 @@
 """Minimum and maximum modulus on circles and the iterated minimum-modulus map.
 
 The extremum of |f| over a circle |z| = r is located by uniform coarse
-sampling followed by ternary-search refinement of every coarse local
-extremum bracket.  No modulus-of-continuity bound is available for user
-expressions, so the coarse grid (default 4096 angles) is what guards
-against missed dips; the refinement then resolves each bracket to the
-requested angular tolerance.
+sampling followed by refinement of every coarse local extremum bracket
+from the symbolic derivative: a root search on the slope
+d|f(re^{it})|^2/dt = -2r Im(conj(f) f' e^{it}), by safeguarded false
+position (Illinois) with a bisection fallback, after Brent's
+"Algorithms for Minimization without Derivatives" (1973).  No
+modulus-of-continuity bound is available for user expressions, so the
+coarse grid (default 4096 angles) is what guards against missed dips;
+the refinement then resolves each bracket to the requested angular
+tolerance, or to rounding in |f|, within a fixed budget of rounds.
 
 Iterating r -> m(r) probes the divergence condition m^n(r) -> infinity.
 Divergence is undecidable from finitely many iterates, so the verdicts
@@ -16,6 +20,7 @@ to (numerical) zero, UNDECIDED means the budget ran out first.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -50,16 +55,37 @@ RADIUS_FLOOR = 1e-12
 
 _MAX_BRACKETS = 256
 
+# Refinement rounds per extremum call.  A round costs two evaluate calls
+# (f and f' at one new angle per active bracket); bisection alone needs 24
+# rounds to shrink 2pi/4096 to the default tol of 1e-10.
+_MAX_ROUNDS = 40
+# False-position steps that may leave the far end of a bracket in place
+# before bisection takes over.
+_MAX_STALL = 3
+# Relative change of |f| below which a bracket is resolved to rounding.
+_FLAT = 2.0 ** -40
+_SATURATED = float(np.finfo(np.float64).max)
+
+CONVERGED = "converged"
+BUDGET = "budget"
+
 
 @dataclass(frozen=True)
 class RadialExtremum:
-    """Extremum of |f| over a circle, with the angle that attains it."""
+    """Extremum of |f| over a circle, with the angle that attains it.
+
+    ``samples_used`` counts the angles at which f was evaluated,
+    ``evaluations`` the evaluate calls spent on f and f', and ``stop``
+    says whether every bracket converged or the round budget ran out.
+    """
 
     radius: float
     value: float
     arg_extremum: float
     samples_used: int
     refined: bool
+    evaluations: int
+    stop: str
 
 
 def _check_radius(r: float) -> float:
@@ -69,8 +95,46 @@ def _check_radius(r: float) -> float:
     return r
 
 
-def _circle_moduli(f: FunctionExpression, r: float, thetas: np.ndarray) -> np.ndarray:
-    return np.abs(evaluate(f, r * np.exp(1j * thetas)))
+@functools.lru_cache(maxsize=8)
+def _unit_circle(n: int) -> np.ndarray:
+    """e^{it} at the n uniform angles t = 2 pi k / n (read-only)."""
+    units = np.exp(1j * (2 * math.pi / n * np.arange(n)))
+    units.flags.writeable = False
+    return units
+
+
+def _slope(values: np.ndarray, derivs: np.ndarray, units: np.ndarray,
+           scale: np.ndarray, sign: float) -> np.ndarray:
+    """``sign * d|f(re^{it})|^2/dt`` divided by ``4 * r * scale``.
+
+    d|f|^2/dt = -2r * Im(conj(f) * f' * e^{it}) with ``units`` = e^{it}.
+    Dividing f by its bracket's ``scale`` (the largest coarse |f| there)
+    keeps the product finite where |f| * |f'| * r is not, and unlike
+    d|f|/dt the slope stays smooth through a zero of f.  Should f' itself
+    saturate, an infinite product keeps its sign and a NaN reads as 0.
+    """
+    c, s = values.real / scale, values.imag / scale
+    w_re = 0.5 * (c * units.real + s * units.imag)
+    w_im = 0.5 * (c * units.imag - s * units.real)
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = -sign * (w_re * derivs.imag + w_im * derivs.real)
+    return np.nan_to_num(g, nan=0.0)
+
+
+def _unresolved(x, gx, e, v, scale, r, tol):
+    """Brackets whose search interval from x to e still needs refining.
+
+    Done once the interval is within ``tol``, |f(x)| has saturated, or
+    the slope at x, carried across the interval, changes |f| by at most
+    ``_FLAT`` of |f(x)|: a minimum within the interval lies no lower than
+    that (for a quadratic, by half of it).  Slopes are ``_slope`` values,
+    so d|f|/dt = 2 r scale g / |f|.
+    """
+    width = np.abs(e - x)
+    mod = np.abs(v)
+    with np.errstate(all="ignore"):
+        drop = (scale / mod) * (2 * r * width * np.abs(gx) / mod)
+    return (gx != 0) & (width > tol) & (mod < _SATURATED) & ~(drop <= _FLAT)
 
 
 def _extremum(f: FunctionExpression, r: float, n_coarse: int, tol: float,
@@ -81,12 +145,14 @@ def _extremum(f: FunctionExpression, r: float, n_coarse: int, tol: float,
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
 
+    # Minimize sign * |f| throughout.
+    sign = -1.0 if maximize else 1.0
     step = 2 * math.pi / n_coarse
-    thetas = step * np.arange(n_coarse)
-    vals = _circle_moduli(f, r, thetas)
-    if maximize:
-        vals = -vals
+    units = _unit_circle(n_coarse)
+    values = evaluate(f, r * units)
+    vals = sign * np.abs(values)
     samples = n_coarse
+    evaluations = 1
 
     prev = np.roll(vals, 1)
     nxt = np.roll(vals, -1)
@@ -97,49 +163,106 @@ def _extremum(f: FunctionExpression, r: float, n_coarse: int, tol: float,
         order = np.argsort(vals[cand], kind="stable")
         cand = cand[order[:_MAX_BRACKETS]]
 
-    # Vectorized ternary search on the brackets around each candidate.
-    lo = (cand - 1) * step
-    hi = (cand + 1) * step
-    best_val = vals[cand].copy()
-    best_arg = cand * step
-    refined = False
-    while np.max(hi - lo) > tol:
-        refined = True
-        third = (hi - lo) / 3.0
-        m1 = lo + third
-        m2 = hi - third
-        v1 = _circle_moduli(f, r, m1)
-        v2 = _circle_moduli(f, r, m2)
-        if maximize:
-            v1, v2 = -v1, -v2
-        samples += 2 * m1.size
-        take_left = v1 <= v2
-        hi = np.where(take_left, m2, hi)
-        lo = np.where(take_left, lo, m1)
-        improved1 = v1 < best_val
-        best_val = np.where(improved1, v1, best_val)
-        best_arg = np.where(improved1, m1, best_arg)
-        improved2 = v2 < best_val
-        best_val = np.where(improved2, v2, best_val)
-        best_arg = np.where(improved2, m2, best_arg)
+    # Each bracket a < x < b keeps its best point x inside, with
+    # sign * |f(x)| = v no larger than at a or b and the objective's
+    # slope g at all three.  The slope at x points to the side that holds
+    # a lower value; the search runs between x and that side's end e.
+    x = cand * step
+    v = vals[cand].copy()
+    refined = 2 * step > tol
+    stop = CONVERGED
+    if refined:
+        df = f.derivative()
+        grid = (cand[:, None] + np.arange(-1, 2)) % n_coarse
+        scale = np.max(np.abs(values[grid]), axis=1)
+        scale[scale == 0] = 1.0
+        g = _slope(values[grid], evaluate(df, r * units[grid]), units[grid],
+                   scale[:, None], sign)
+        evaluations += 1
+        a, b = x - step, x + step
+        ga, gx, gb = g[:, 0], g[:, 1], g[:, 2]
+        # stall: rounds the current far end has stayed in place
+        stall = np.zeros(cand.size, dtype=int)
+        active = _unresolved(x, gx, np.where(gx < 0, b, a), v, scale, r, tol)
+        rounds = 0
+        while active.any():
+            if rounds == _MAX_ROUNDS:
+                stop = BUDGET
+                break
+            act = np.nonzero(active)[0]
+            X, GX, A, B, GA, GB = x[act], gx[act], a[act], b[act], ga[act], gb[act]
+            right = GX < 0
+            E = np.where(right, B, A)
+            GE = np.where(right, GB, GA) * 0.5 ** stall[act]
+            # Illinois false position where the slope changes sign between
+            # x and e, bisection where it does not or has stalled.
+            secant = (np.where(right, GE > 0, GE < 0)
+                      & (stall[act] < _MAX_STALL))
+            t = np.where(secant, 0.5 * GX, 0.5) / np.where(
+                secant, 0.5 * GX - 0.5 * GE, 1.0)
+            u = X + t * (E - X)
+            # A false-position step landing on x or e has found the root to
+            # rounding.  Otherwise keep tol/2 off both, so that a root next
+            # to one of them is bracketed within tol by the next step.
+            lo, hi = np.minimum(X, E), np.maximum(X, E)
+            done = secant & ((u <= lo) | (u >= hi))
+            u = np.clip(u, lo + 0.5 * tol, hi - 0.5 * tol)
+            done |= (u <= lo) | (u >= hi)
+            active[act[done]] = False
+            keep = ~done
+            if not keep.any():
+                break
+            act, u, X, GX, E, right = (act[keep], u[keep], X[keep], GX[keep],
+                                       E[keep], right[keep])
+            rounds += 1
+            trial_units = np.exp(1j * u)
+            fu = evaluate(f, r * trial_units)
+            gu = _slope(fu, evaluate(df, r * trial_units), trial_units,
+                        scale[act], sign)
+            evaluations += 2
+            samples += u.size
+            vu = sign * np.abs(fu)
 
-    k = int(np.argmin(best_val))
-    value = float(best_val[k])
-    if maximize:
-        value = -value
-    arg = float(best_arg[k]) % (2 * math.pi)
-    return RadialExtremum(r, value, arg, samples, refined)
+            # A better u replaces x, and x becomes the end on the other
+            # side; otherwise u becomes the end on its own side.
+            better = vu < v[act]
+            above = u > X
+            new_a = better == above
+            a[act] = np.where(new_a, np.where(better, X, u), a[act])
+            ga[act] = np.where(new_a, np.where(better, GX, gu), ga[act])
+            b[act] = np.where(~new_a, np.where(better, X, u), b[act])
+            gb[act] = np.where(~new_a, np.where(better, GX, gu), gb[act])
+            x[act] = np.where(better, u, X)
+            gx[act] = np.where(better, gu, GX)
+            v[act] = np.where(better, vu, v[act])
+
+            now_right = gx[act] < 0
+            now_e = np.where(now_right, b[act], a[act])
+            stall[act] = np.where((now_right == right) & (now_e == E),
+                                  stall[act] + 1, 0)
+            active[act] = _unresolved(x[act], gx[act], now_e, v[act],
+                                      scale[act], r, tol)
+
+    k = int(np.argmin(v))
+    value = sign * float(v[k])
+    arg = float(x[k]) % (2 * math.pi)
+    return RadialExtremum(r, value, arg, samples, refined, evaluations, stop)
 
 
 def min_modulus(f: FunctionExpression, r: float, n_coarse: int = 4096,
                 tol: float = 1e-10) -> RadialExtremum:
     """Global minimum of |f| over the circle |z| = r.
 
-    Coarse sampling at ``n_coarse`` uniform angles, then ternary-search
-    refinement of every coarse local minimum until the angular bracket is
-    below ``tol``; the least refined value wins.  On plateaus (constant
-    modulus puts a local minimum at every angle) refinement keeps the 256
-    lowest brackets, which cannot change the reported minimum.
+    Coarse sampling at ``n_coarse`` uniform angles, then each coarse
+    local minimum is refined from the symbolic derivative f': the slope
+    of |f|^2 at the best angle so far picks the side that holds a lower
+    value, and a false-position (Illinois) step on the slope, or a
+    bisection where the slope does not change sign, shrinks that side
+    until it is below ``tol`` or |f| is resolved to rounding.  The least
+    value found wins.  On plateaus (constant modulus puts a local minimum
+    at every angle) refinement keeps the 256 lowest brackets, which
+    cannot change the reported minimum.  At most ``_MAX_ROUNDS`` rounds
+    run; ``stop`` says whether they sufficed.
     """
     return _extremum(f, r, n_coarse, tol, maximize=False)
 
@@ -154,13 +277,15 @@ def max_modulus(f: FunctionExpression, r: float, n_coarse: int = 4096,
 class MinModIterationReport:
     """Trajectory of the iterated minimum-modulus map starting at r0.
 
-    ``sequence[0]`` is r0 itself; ``sequence[k]`` is m^k(r0).  The
-    verdict is finite-budget evidence, not proof; ``witness`` holds the
-    indices/values that triggered it.
+    ``sequence[0]`` is r0 itself; ``sequence[k]`` is m^k(r0), attained
+    at the angle ``arguments[k - 1]`` on the circle of radius
+    ``sequence[k - 1]``.  The verdict is finite-budget evidence, not
+    proof; ``witness`` holds the indices/values that triggered it.
     """
 
     r0: float
     sequence: tuple[float, ...]
+    arguments: tuple[float, ...]
     verdict: str
     witness: dict
 
@@ -189,11 +314,14 @@ def iterate_min_modulus(f: FunctionExpression, r0: float, n_max: int = 50,
         raise ValueError("blow_up must exceed r0")
 
     seq = [r0]
+    args = []
     verdict = UNDECIDED
     witness: dict = {"note": f"no termination within {n_max} iterations"}
     for k in range(1, n_max + 1):
-        value = min_modulus(f, seq[-1], n_coarse, tol).value
+        ext = min_modulus(f, seq[-1], n_coarse, tol)
+        value = ext.value
         seq.append(value)
+        args.append(ext.arg_extremum)
         if value > blow_up:
             verdict = DIVERGES
             witness = {"index": k, "value": value, "threshold": blow_up}
@@ -209,7 +337,7 @@ def iterate_min_modulus(f: FunctionExpression, r0: float, n_max: int = 50,
             verdict = NOT_DIVERGING
             witness = {"index": k, "revisits": int(near[0]), "value": value}
             break
-    return MinModIterationReport(r0, tuple(seq), verdict, witness)
+    return MinModIterationReport(r0, tuple(seq), tuple(args), verdict, witness)
 
 
 @dataclass(frozen=True)

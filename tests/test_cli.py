@@ -48,8 +48,10 @@ def test_parse_check_rejects_non_entire(tmp_path, capsys):
     validator().validate(out)
 
 
-@pytest.mark.parametrize("source", ["+".join(["z"] * 3000), "z*1e400"],
-                         ids=["sum-of-3000-terms", "huge-literal"])
+@pytest.mark.parametrize("source", ["+".join(["z"] * 3000), "z*1e400",
+                                    "z^(1e308*10)"],
+                         ids=["sum-of-3000-terms", "huge-literal",
+                              "overflowing-exponent"])
 def test_parse_check_rejects_deep_and_non_finite(tmp_path, capsys, source):
     assert run(tmp_path, "parse-check", "--f", source) == 2
     out = json.loads(capsys.readouterr().out)
@@ -69,12 +71,23 @@ def test_minmod(tmp_path):
     assert rep["maximum"]["value"] == pytest.approx(4.0, rel=1e-9)
 
 
+def test_minmod_reports_refinement_work(tmp_path):
+    assert run(tmp_path, "minmod", "--f", "cos(z) + z", "--r", "2.5") == 0
+    rep = load_and_validate(tmp_path, "minmod.json")
+    for ext in (rep["minimum"], rep["maximum"]):
+        assert ext["stop"] == "converged"
+        assert 2 <= ext["evaluations"] <= 87
+        assert ext["samples_used"] >= 4096
+
+
 def test_minmod_iterate_squaring(tmp_path):
     assert run(tmp_path, "minmod-iterate", "--f", "z^2", "--r", "2",
                "--blow-up", "1e100") == 0
     rep = load_and_validate(tmp_path, "minmod_iterate.json")
     assert rep["verdict"] == "DIVERGES"
     np.testing.assert_allclose(rep["sequence"][:3], [2, 4, 16], rtol=1e-9)
+    assert len(rep["arguments"]) == len(rep["sequence"]) - 1
+    assert all(0 <= a < 2 * PI for a in rep["arguments"])
     lines = (tmp_path / "minmod_iterate.csv").read_text().splitlines()
     assert lines[0] == "n,m_n"
     assert lines[1] == "0,2"
@@ -152,6 +165,27 @@ def test_render_components_swprobe_pipeline(tmp_path):
     assert census["target"] == "BOUNDED_SUSPECT"
     assert census["connectivity"] == 8
     assert census["component_count"] >= 1
+
+
+def test_relative_input_resolves_against_out(tmp_path, monkeypatch):
+    out = tmp_path / "out"
+    assert run(out, "render", "--f", "sin(z)", "--window", "-10,10,-5,5",
+               "--nx", "40", "--ny", "20") == 0
+    # from elsewhere, a relative --input is read from --out ...
+    monkeypatch.chdir(tmp_path)
+    assert run(out, "components", "--input", "render.npz") == 0
+    from_out = load_and_validate(out, "components.json")
+    assert run(out, "sw-probe", "--input", "render.npz", "--radii", "2") == 0
+    assert load_and_validate(out, "sw_probe.json")["input"] == "render.npz"
+    # ... unless it exists from the working directory
+    other = tmp_path / "other"
+    assert run(other, "components", "--input", "out/render.npz") == 0
+    assert load_and_validate(other, "components.json")["census"] == \
+        from_out["census"]
+    # a missing or unreadable archive is a usage error, not a traceback
+    assert run(other, "components", "--input", "render.npz") == 2
+    (tmp_path / "junk.npz").write_text("not an archive")
+    assert run(other, "sw-probe", "--input", "junk.npz", "--radii", "2") == 2
 
 
 def test_scenario_reports_validate(tmp_path):

@@ -115,6 +115,22 @@ def test_non_finite_literal_rejected(source):
 
 
 @pytest.mark.parametrize("source", [
+    "z^(1e308*10)", "z/(1e308*10)", "z^(2^2000)", "z/(1e200*1e200*0)",
+    "z^(exp(1000)*0)",
+])
+def test_overflowing_folded_constant_rejected(source):
+    # exponents and denominators are folded at parse time; a fold that
+    # overflows anywhere must not become its saturated stand-in
+    with pytest.raises(ExprSyntaxError):
+        parse(source)
+
+
+def test_large_finite_folded_constants_accepted():
+    assert parse("z^(2^10)").to_source() == "(z^1024)"
+    assert parse("z/(1e300*10)").to_source() == "(z / 1e+301)"
+
+
+@pytest.mark.parametrize("source", [
     "+".join(["z"] * 3000),
     "exp(" * 400 + "z" + ")" * 400,
     "(" * 2000 + "z" + ")" * 2000,
