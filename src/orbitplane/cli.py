@@ -29,12 +29,11 @@ from .errors import ExprSyntaxError, NonEntireError, OrbitPlaneError
 from .expressions import parse as parse_expr
 from .modulus import (derive_disc_sequence, iterate_min_modulus, max_modulus,
                       min_modulus)
-from .orbits import OrbitPolicy, PointClass, find_fixed_points, iterate_orbit
+from .orbits import (OrbitPolicy, PointClass, class_of_verdict,
+                     find_fixed_points, iterate_orbit)
 from .raster import (GridSpec, boundary_pixels, classify_grid,
                      label_components, spiders_web_probe, write_ppm)
-from .scenarios import (SCENARIOS, encode_domain, encode_nested_report,
-                        encode_policy, encode_spl_report, ex51_domain,
-                        ex52_domain, run_scenario)
+from .scenarios import SCENARIOS, ex51_domain, ex52_domain, run_scenario
 from .surround import check_spl, check_nested_domains
 
 __all__ = ["main"]
@@ -325,9 +324,9 @@ def _cmd_surround_check(args, outdir):
             img = image_curve(f, curve, max_step=None)
             fileio.curves_csv(os.path.join(outdir, f"image_{n}.csv"), [img])
     report = {"kind": "surround_check", "function": args.f,
-              "domains": [encode_domain(d) for d in domains],
+              "domains": [fileio.encode_domain(d) for d in domains],
               "density": args.density, "probe_grid": args.probe_grid,
-              **encode_nested_report(rep)}
+              **fileio.encode_nested_report(rep)}
     return (0 if rep.verdict else 1), report, "surround_check.json"
 
 
@@ -336,9 +335,9 @@ def _cmd_spl_check(args, outdir):
     domains = _domains_of(args)
     rep = check_spl(f, domains, args.density, args.probe_grid)
     report = {"kind": "spl_check", "function": args.f,
-              "domains": [encode_domain(d) for d in domains],
+              "domains": [fileio.encode_domain(d) for d in domains],
               "density": args.density, "probe_grid": args.probe_grid,
-              **encode_spl_report(rep)}
+              **fileio.encode_spl_report(rep)}
     ok = rep.condition_i and rep.condition_iii
     return (0 if ok else 1), report, "spl_check.json"
 
@@ -349,11 +348,10 @@ def _cmd_orbit(args, outdir):
     verdict = iterate_orbit(f, args.z0, policy, keep_trace=args.trace)
     if args.trace and verdict.trace:
         fileio.orbit_csv(os.path.join(outdir, "orbit.csv"), verdict.trace)
-    from .orbits import _class_of_verdict
     report = {
         "kind": "orbit", "function": args.f,
         "z0": fileio.encode_complex(args.z0),
-        "policy": encode_policy(policy),
+        "policy": fileio.encode_policy(policy),
         "verdict": {
             "kind": verdict.kind,
             "escape_step": verdict.escape_step,
@@ -363,7 +361,7 @@ def _cmd_orbit(args, outdir):
                                if verdict.representative is not None else None),
             "max_modulus": verdict.max_modulus,
         },
-        "classification": _class_of_verdict(verdict, policy).name,
+        "classification": class_of_verdict(verdict, policy).name,
     }
     return 0, report, "orbit.json"
 
@@ -374,7 +372,7 @@ def _cmd_fixed_points(args, outdir):
                                 args.max_newton)
     report = {
         "kind": "fixed_points", "function": args.f,
-        "region": encode_domain(args.rect),
+        "region": fileio.encode_domain(args.rect),
         "seeds_per_axis": args.seeds, "newton_tol": args.newton_tol,
         "fixed_points": [
             {"location": fileio.encode_complex(r.location),
@@ -403,7 +401,8 @@ def _cmd_render(args, outdir):
     report = {"kind": "render_meta", "function": args.f,
               "window": [args.window.x_min, args.window.x_max,
                          args.window.y_min, args.window.y_max],
-              "nx": args.nx, "ny": args.ny, "policy": encode_policy(policy),
+              "nx": args.nx, "ny": args.ny,
+              "policy": fileio.encode_policy(policy),
               "aspect_distortion": grid.aspect_distortion,
               "counts": counts, "files": {"ppm": ppm, "npz": npz}}
     return 0, report, f"{args.prefix}.json"

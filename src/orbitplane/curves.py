@@ -7,6 +7,11 @@ boundary, or its image under a function) the curve carries the parameter
 values and a vectorized ``source`` callable, which is what makes honest
 local refinement possible: new samples are taken on the true curve, not
 interpolated from old ones.
+
+All refinement is :func:`refine`: it bisects the segments a predicate
+flags and says why it stopped (``converged``, ``budget``, ``rounds`` or
+``stalled``).  The image ``max_step`` test, the winding aliasing test and
+the surrounding clearance test are its predicates.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ import numpy as np
 from .errors import AliasingUnresolved, CurveTooClose, RefinementBudgetExceeded
 from .expressions import FunctionExpression, evaluate
 
-__all__ = ["SampledCurve", "image_curve", "winding_number"]
+__all__ = ["SampledCurve", "image_curve", "refine", "winding_number"]
 
 # A single argument increment above this is treated as aliasing and the
 # segment is refined before the winding sum is trusted.
@@ -38,7 +43,7 @@ class SampledCurve:
     values on the parent curve (same length as ``points``, increasing,
     in [0, 1) for closed boundaries) and ``source`` maps parameter arrays
     to points on the parent curve.  Both are optional for synthetic
-    polylines, in which case refinement falls back to chord midpoints.
+    polylines, which refinement treats as their own source.
     """
 
     points: np.ndarray
@@ -99,44 +104,77 @@ class SampledCurve:
         return SampledCurve(self.points + offset, self.closed, self.params, new_source)
 
 
-def _midpoint_params(curve: SampledCurve, segments: np.ndarray) -> np.ndarray:
-    """Parameter midpoints of the given segment indices (wrap-aware)."""
-    t = curve.params
-    t0 = t[segments]
-    t1 = np.where(segments + 1 < t.size, t[(segments + 1) % t.size], t[0] + 1.0)
-    return ((t0 + t1) / 2.0) % 1.0 if curve.closed else (t0 + t1) / 2.0
+def _as_polyline(curve: SampledCurve) -> SampledCurve:
+    """``curve`` as its own source: the closed polyline through its points.
 
-
-def _insert_samples(curve: SampledCurve, segments: np.ndarray) -> SampledCurve:
-    """Bisect the listed segments, sampling from the source when available.
-
-    Without a source (or parameters) the polyline itself is authoritative
-    and midpoints are chord midpoints, which leaves the traced path
-    unchanged while halving its angular steps.
+    Bisecting on it keeps the traced path while halving its steps.  A
+    curve without parameters gets equally spaced ones in [0, 1).
     """
-    pts = curve.points
-    if curve.params is not None and curve.source is not None:
-        t_new = _midpoint_params(curve, segments)
-        p_new = np.asarray(curve.source(t_new), dtype=np.complex128)
-        t_all = np.concatenate([curve.params, t_new])
-        p_all = np.concatenate([pts, p_new])
+    t = curve.params
+    if t is None:
+        t = np.arange(len(curve)) / len(curve)
+    tt = np.concatenate([t[-1:] - 1.0, t, t[:1] + 1.0])
+    pp = np.concatenate([curve.points[-1:], curve.points, curve.points[:1]])
+
+    def source(u):
+        u = np.asarray(u, dtype=np.float64) % 1.0
+        return np.interp(u, tt, pp.real) + 1j * np.interp(u, tt, pp.imag)
+
+    return SampledCurve(curve.points, True, t, source)
+
+
+def _dedupe_closed(points: np.ndarray, params: np.ndarray, source) -> SampledCurve:
+    """Drop consecutive duplicate points (flat spots of the source)."""
+    keep = np.ones(points.size, dtype=bool)
+    keep[1:] = points[1:] != points[:-1]
+    if points[keep].size > 1 and points[keep][-1] == points[keep][0]:
+        keep[np.nonzero(keep)[0][-1]] = False
+    if points[keep].size < 2:
+        raise ValueError("curve image collapsed to a point")
+    return SampledCurve(points[keep], True, params[keep], source)
+
+
+def refine(curve: SampledCurve, bad: Callable[[SampledCurve], np.ndarray],
+           max_points: int, max_rounds: int | None = None
+           ) -> tuple[SampledCurve, str]:
+    """Bisect, on the source curve, the segments that ``bad`` flags.
+
+    ``bad(curve)`` returns the indices of the segments still to bisect
+    (segment ``i`` runs from point ``i`` to the next, wrapping).  Each
+    round samples the source at their parameter midpoints and drops
+    consecutive duplicates; a closed curve without parameters or source
+    is refined as its own polyline.  Returns the curve and why it stopped:
+
+    ``"converged"``  ``bad`` flagged no segment;
+    ``"budget"``     the next round would pass ``max_points`` points;
+    ``"rounds"``     ``max_rounds`` rounds have run;
+    ``"stalled"``    a round added no new point (its result is dropped).
+    """
+    if not curve.closed:
+        raise ValueError("refine requires a closed curve")
+    if curve.params is None or curve.source is None:
+        curve = _as_polyline(curve)
+    work, rounds = curve, 0
+    while True:
+        segments = bad(work)
+        if segments.size == 0:
+            return work, "converged"
+        if max_rounds is not None and rounds >= max_rounds:
+            return work, "rounds"
+        if len(work) + segments.size > max_points:
+            return work, "budget"
+        t, source = work.params, work.source
+        t0 = t[segments]
+        t1 = np.where(segments + 1 < t.size, t[(segments + 1) % t.size], t[0] + 1.0)
+        t_new = ((t0 + t1) / 2.0) % 1.0
+        p_new = np.asarray(source(t_new), dtype=np.complex128)
+        t_all = np.concatenate([t, t_new])
         order = np.argsort(t_all, kind="stable")
-        t_all, p_all = t_all[order], p_all[order]
-        keep = np.ones(p_all.size, dtype=bool)
-        keep[1:] = p_all[1:] != p_all[:-1]
-        if curve.closed and p_all.size > 1 and p_all[keep][-1] == p_all[keep][0]:
-            last = np.nonzero(keep)[0][-1]
-            keep[last] = False
-        return SampledCurve(p_all[keep], curve.closed, t_all[keep], curve.source)
-    ends = curve.segment_ends() if curve.closed else pts[1:]
-    mids = (pts[segments] + ends[segments]) / 2.0
-    p_all = np.insert(pts, segments + 1, mids)
-    params = None
-    if curve.params is not None:
-        t = curve.params
-        t_m = _midpoint_params(curve, segments)
-        params = np.insert(t, segments + 1, t_m)
-    return SampledCurve(p_all, curve.closed, params, None)
+        refined = _dedupe_closed(np.concatenate([work.points, p_new])[order],
+                                 t_all[order], source)
+        if len(refined) == len(work):
+            return work, "stalled"
+        work, rounds = refined, rounds + 1
 
 
 def image_curve(f: FunctionExpression, curve: SampledCurve,
@@ -148,58 +186,30 @@ def image_curve(f: FunctionExpression, curve: SampledCurve,
     points are within ``max_step`` of each other (``None`` skips the
     distance refinement; the winding computation refines on demand
     anyway).  Raises :class:`RefinementBudgetExceeded` with the partial
-    curve attached if ``max_points`` is hit first.
+    curve attached if refinement stops short of that, because
+    ``max_points`` was hit or a round added no new point.
     """
     if not curve.closed:
         raise ValueError("image_curve requires a closed curve")
     if curve.params is None:
         raise ValueError("image_curve requires source parameters")
 
-    src = curve.source
-    if src is None:
-        # Fall back to the polyline itself as the parent curve.
-        base_t, base_p = curve.params.copy(), curve.points.copy()
-
-        def src(t):
-            t = np.asarray(t, dtype=np.float64)
-            tt = np.concatenate([base_t, base_t[:1] + 1.0])
-            pp = np.concatenate([base_p, base_p[:1]])
-            re = np.interp(t % 1.0, tt, pp.real)
-            im = np.interp(t % 1.0, tt, pp.imag)
-            return re + 1j * im
-
+    src = curve.source or _as_polyline(curve).source
     composed = lambda t: evaluate(f, np.asarray(src(t), dtype=np.complex128))
 
-    params = curve.params
-    points = np.asarray(composed(params), dtype=np.complex128)
-    result = _dedupe_closed(points, params, composed)
+    points = np.asarray(composed(curve.params), dtype=np.complex128)
+    result = _dedupe_closed(points, curve.params, composed)
     if max_step is None:
         return result
-    while True:
-        gaps = np.abs(result.segment_ends() - result.segment_starts())
-        bad = np.nonzero(gaps > max_step)[0]
-        if bad.size == 0:
-            return result
-        if len(result) + bad.size > max_points:
-            raise RefinementBudgetExceeded(
-                f"image refinement exceeded {max_points} points", partial=result)
-        t_new = _midpoint_params(result, bad)
-        p_new = np.asarray(composed(t_new), dtype=np.complex128)
-        t_all = np.concatenate([result.params, t_new])
-        p_all = np.concatenate([result.points, p_new])
-        order = np.argsort(t_all, kind="stable")
-        result = _dedupe_closed(p_all[order], t_all[order], composed)
-
-
-def _dedupe_closed(points: np.ndarray, params: np.ndarray, source) -> SampledCurve:
-    """Drop consecutive duplicate image points (flat spots under f)."""
-    keep = np.ones(points.size, dtype=bool)
-    keep[1:] = points[1:] != points[:-1]
-    if points[keep].size > 1 and points[keep][-1] == points[keep][0]:
-        keep[np.nonzero(keep)[0][-1]] = False
-    if points[keep].size < 2:
-        raise ValueError("curve image collapsed to a point")
-    return SampledCurve(points[keep], True, params[keep], source)
+    result, stop = refine(
+        result, lambda c: np.nonzero(
+            np.abs(c.segment_ends() - c.segment_starts()) > max_step)[0],
+        max_points)
+    if stop != "converged":
+        raise RefinementBudgetExceeded(
+            f"image refinement stopped ({stop}) at {len(result)} points "
+            f"(budget {max_points})", partial=result)
+    return result
 
 
 def winding_number(curve: SampledCurve, w: complex,
@@ -209,37 +219,35 @@ def winding_number(curve: SampledCurve, w: complex,
 
     Argument increments between consecutive samples are taken in
     (-pi, pi].  Any increment above pi/2 is treated as aliasing and the
-    segment is bisected (on the source curve when available, else on the
-    chord) until all increments are small; the rounded sum is then exact
-    for the sampled path.  Raises :class:`CurveTooClose` if any sample
-    comes within ``min_clearance`` of ``w``, and
-    :class:`AliasingUnresolved` if refinement cannot settle within the
-    point budget.
+    segment is bisected by :func:`refine` until all increments are
+    small; the rounded sum is then exact for the sampled path.  Raises
+    :class:`CurveTooClose` if any sample comes within ``min_clearance``
+    of ``w``, and :class:`AliasingUnresolved` if refinement cannot settle
+    within the point budget or stops adding points.
     """
     if not curve.closed:
         raise ValueError("winding_number requires a closed curve")
-    work = curve
-    while True:
-        rel = work.points - w
-        dist = np.abs(rel)
-        if np.min(dist) < min_clearance:
+    inc = None
+
+    def aliased(c: SampledCurve) -> np.ndarray:
+        nonlocal inc
+        rel = c.points - w
+        if np.min(np.abs(rel)) < min_clearance:
             raise CurveTooClose(
                 f"curve sample within {min_clearance} of probe {w}")
         angles = np.angle(rel)
         inc = np.diff(np.concatenate([angles, angles[:1]]))
         inc = (inc + np.pi) % (2 * np.pi) - np.pi  # wrap to [-pi, pi)
-        bad = np.nonzero(np.abs(inc) > _ALIAS_THRESHOLD)[0]
-        if bad.size == 0:
-            total = float(np.sum(inc)) / (2 * np.pi)
-            wn = int(round(total))
-            if abs(total - wn) >= _ROUND_RESIDUAL:
-                raise AliasingUnresolved(
-                    f"winding residual {abs(total - wn):.3f} after refinement")
-            return wn
-        if len(work) + bad.size > max_points:
-            raise AliasingUnresolved(
-                f"aliasing persists at {len(work)} points (budget {max_points})")
-        if work.params is None:
-            n = len(work)
-            work = SampledCurve(work.points, True, np.arange(n) / n, None)
-        work = _insert_samples(work, bad)
+        return np.nonzero(np.abs(inc) > _ALIAS_THRESHOLD)[0]
+
+    work, stop = refine(curve, aliased, max_points)
+    if stop != "converged":
+        raise AliasingUnresolved(
+            f"aliasing persists ({stop}) at {len(work)} points "
+            f"(budget {max_points})")
+    total = float(np.sum(inc)) / (2 * np.pi)
+    wn = int(round(total))
+    if abs(total - wn) >= _ROUND_RESIDUAL:
+        raise AliasingUnresolved(
+            f"winding residual {abs(total - wn):.3f} after refinement")
+    return wn

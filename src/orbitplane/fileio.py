@@ -1,4 +1,5 @@
-"""File emission: atomic writes, CSV and JSON formats, render archives.
+"""File emission: atomic writes, CSV and JSON formats, report encoders,
+render archives.
 
 All writes go through a write-then-rename so a failed run never leaves a
 partial file behind.  Floats are formatted with 17 significant digits,
@@ -18,9 +19,10 @@ from typing import Iterable
 
 import numpy as np
 
-from .domains import Rect
+from .domains import Disc, DomainSpec, Rect
 from .orbits import OrbitPolicy
 from .raster import GridSpec, PixelClassification
+from .surround import NestedDomainsReport, SplReport
 
 __all__ = [
     "fmt",
@@ -35,6 +37,11 @@ __all__ = [
     "load_classification",
     "schema_text",
     "encode_complex",
+    "encode_domain",
+    "encode_surround_report",
+    "encode_nested_report",
+    "encode_spl_report",
+    "encode_policy",
 ]
 
 
@@ -45,6 +52,64 @@ def fmt(x: float) -> str:
 
 def encode_complex(z: complex) -> list[float]:
     return [float(z.real), float(z.imag)]
+
+
+def encode_domain(domain: DomainSpec) -> dict:
+    if isinstance(domain, Disc):
+        return {"shape": "disc", "center": encode_complex(domain.center),
+                "radius": domain.radius, "label": domain.label}
+    if isinstance(domain, Rect):
+        return {"shape": "rect", "x_min": domain.x_min, "x_max": domain.x_max,
+                "y_min": domain.y_min, "y_max": domain.y_max,
+                "label": domain.label}
+    return {"shape": "rect_union",
+            "rects": [encode_domain(r) for r in domain.rects],
+            "label": domain.label}
+
+
+def encode_surround_report(report) -> dict:
+    return {
+        "verdict": report.verdict,
+        "min_distance": report.min_distance,
+        "max_penetration": report.max_penetration,
+        "windings": [{"probe": encode_complex(p), "winding": w}
+                     for p, w in report.winding_values],
+        "probes_tested": report.probes_tested,
+        "note": report.note,
+    }
+
+
+def encode_nested_report(report: NestedDomainsReport) -> dict:
+    return {
+        "pairs": [{"index": p.index, "report": encode_surround_report(p.report)}
+                  for p in report.pairs],
+        "inradii": list(report.inradii),
+        "inradius_increasing": report.inradius_increasing,
+        "condition_a": report.condition_a,
+        "condition_b": report.condition_b,
+        "verdict": report.verdict,
+        "note": report.note,
+    }
+
+
+def encode_spl_report(report: SplReport) -> dict:
+    return {
+        "self_surround": [{"index": p.index,
+                           "report": encode_surround_report(p.report)}
+                          for p in report.self_surround],
+        "closure_nested": list(report.closure_nested),
+        "inradii": list(report.inradii),
+        "inradius_increasing": report.inradius_increasing,
+        "condition_i": report.condition_i,
+        "condition_iii": report.condition_iii,
+        "verdict": report.verdict,
+        "note": report.note,
+    }
+
+
+def encode_policy(policy: OrbitPolicy) -> dict:
+    return {"budget": policy.budget, "escape_radius": policy.escape_radius,
+            "cycle_tol": policy.cycle_tol, "cycle_window": policy.cycle_window}
 
 
 def _umask() -> int:

@@ -32,6 +32,8 @@ __all__ = [
     "BUDGET_EXHAUSTED",
     "iterate_orbit",
     "classify_point",
+    "class_of_verdict",
+    "bounded_after_budget",
     "find_fixed_points",
     "SUPERATTRACTING",
     "ATTRACTING",
@@ -161,17 +163,23 @@ def classify_point(f: FunctionExpression, z0: complex,
     two orders of magnitude below the escape radius, else undecided.
     """
     verdict = iterate_orbit(f, z0, policy)
-    return _class_of_verdict(verdict, policy)
+    return class_of_verdict(verdict, policy)
 
 
-def _class_of_verdict(verdict: OrbitVerdict, policy: OrbitPolicy) -> PointClass:
+def class_of_verdict(verdict: OrbitVerdict, policy: OrbitPolicy) -> PointClass:
+    """The point class of an orbit verdict (see :func:`classify_point`)."""
     if verdict.kind == ESCAPED:
         return PointClass.UNBOUNDED_SUSPECT
     if verdict.kind == CYCLE_LOCKED:
         return PointClass.BOUNDED_SUSPECT
-    if verdict.max_modulus < policy.escape_radius / _BOUNDED_HEADROOM:
+    if bounded_after_budget(verdict.max_modulus, policy):
         return PointClass.BOUNDED_SUSPECT
     return PointClass.UNDECIDED
+
+
+def bounded_after_budget(max_modulus, policy: OrbitPolicy):
+    """Whether budget-exhausted orbits (scalar or array) are bounded suspects."""
+    return max_modulus < policy.escape_radius / _BOUNDED_HEADROOM
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,7 @@ import numpy as np
 from .domains import Rect
 from .errors import RadiusOutsideWindow
 from .expressions import FunctionExpression, evaluate_with_overflow
-from .orbits import OrbitPolicy, PointClass
+from .orbits import OrbitPolicy, PointClass, bounded_after_budget
 
 __all__ = [
     "GridSpec",
@@ -217,9 +217,9 @@ def classify_grid(f: FunctionExpression, grid: GridSpec,
             alive[:n_alive] = True
             nc = n_alive
 
-    # Budget exhausted: bounded only with headroom below the escape radius.
+    # The pixels still alive exhausted their budget.
     rest = np.flatnonzero(alive[:nc])
-    classes[orig[rest]] = np.where(max_mod[rest] < policy.escape_radius / 100.0,
+    classes[orig[rest]] = np.where(bounded_after_budget(max_mod[rest], policy),
                                    PointClass.BOUNDED_SUSPECT,
                                    PointClass.UNDECIDED)
     return PixelClassification(grid, classes.reshape(grid.ny, grid.nx), policy)

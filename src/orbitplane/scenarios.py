@@ -24,15 +24,14 @@ from typing import Callable
 import numpy as np
 
 from . import fileio
-from .domains import Disc, DomainSpec, Rect, RectUnion
+from .domains import Disc, Rect, RectUnion
 from .expressions import evaluate, parse
 from .modulus import DIVERGES, iterate_min_modulus
 from .orbits import (OrbitPolicy, PointClass, REPELLING, SUPERATTRACTING,
                      find_fixed_points)
 from .raster import (GridSpec, boundary_pixels, classify_grid,
                      label_components, spiders_web_probe, write_ppm)
-from .surround import (NestedDomainsReport, SplReport, check_spl,
-                       check_nested_domains)
+from .surround import check_spl, check_nested_domains
 
 __all__ = [
     "Scenario",
@@ -43,10 +42,6 @@ __all__ = [
     "EX52_SOURCE",
     "SINZ_SOURCE",
     "run_scenario",
-    "encode_domain",
-    "encode_surround_report",
-    "encode_nested_report",
-    "encode_spl_report",
 ]
 
 EX51_SOURCE = "-10*z*exp(-z) - 0.5*z"
@@ -73,68 +68,6 @@ def ex52_domain(n: int) -> Rect:
     pi = math.pi
     return Rect(-(2 * n + 11 / 4) * pi, (2 * n + 9 / 4) * pi,
                 -2 * (n + 1) * pi, 2 * (n + 1) * pi, label=f"D{n}")
-
-
-# ---------------------------------------------------------------------------
-# JSON encoding helpers (shared with the CLI)
-# ---------------------------------------------------------------------------
-
-def encode_domain(domain: DomainSpec) -> dict:
-    if isinstance(domain, Disc):
-        return {"shape": "disc", "center": fileio.encode_complex(domain.center),
-                "radius": domain.radius, "label": domain.label}
-    if isinstance(domain, Rect):
-        return {"shape": "rect", "x_min": domain.x_min, "x_max": domain.x_max,
-                "y_min": domain.y_min, "y_max": domain.y_max,
-                "label": domain.label}
-    return {"shape": "rect_union",
-            "rects": [encode_domain(r) for r in domain.rects],
-            "label": domain.label}
-
-
-def encode_surround_report(report) -> dict:
-    return {
-        "verdict": report.verdict,
-        "min_distance": report.min_distance,
-        "max_penetration": report.max_penetration,
-        "windings": [{"probe": fileio.encode_complex(p), "winding": w}
-                     for p, w in report.winding_values],
-        "probes_tested": report.probes_tested,
-        "note": report.note,
-    }
-
-
-def encode_nested_report(report: NestedDomainsReport) -> dict:
-    return {
-        "pairs": [{"index": p.index, "report": encode_surround_report(p.report)}
-                  for p in report.pairs],
-        "inradii": list(report.inradii),
-        "inradius_increasing": report.inradius_increasing,
-        "condition_a": report.condition_a,
-        "condition_b": report.condition_b,
-        "verdict": report.verdict,
-        "note": report.note,
-    }
-
-
-def encode_spl_report(report: SplReport) -> dict:
-    return {
-        "self_surround": [{"index": p.index,
-                           "report": encode_surround_report(p.report)}
-                          for p in report.self_surround],
-        "closure_nested": list(report.closure_nested),
-        "inradii": list(report.inradii),
-        "inradius_increasing": report.inradius_increasing,
-        "condition_i": report.condition_i,
-        "condition_iii": report.condition_iii,
-        "verdict": report.verdict,
-        "note": report.note,
-    }
-
-
-def encode_policy(policy: OrbitPolicy) -> dict:
-    return {"budget": policy.budget, "escape_radius": policy.escape_radius,
-            "cycle_tol": policy.cycle_tol, "cycle_window": policy.cycle_window}
 
 
 # ---------------------------------------------------------------------------
@@ -179,7 +112,7 @@ def _run_ex51(outdir, emit) -> dict:
     domains = [ex51_domain(n) for n in range(2, 7)]
     nested = check_nested_domains(f, domains, density=4.0, probe_grid=5)
     checks.append(_check("surround_suite", nested.verdict,
-                         **encode_nested_report(nested)))
+                         **fileio.encode_nested_report(nested)))
     from .curves import image_curve
     from .domains import boundary
     for n, dom in zip(range(2, 7), domains):
@@ -236,7 +169,7 @@ def _run_ex52(outdir, emit) -> dict:
     domains = [ex52_domain(n) for n in range(4)]
     spl = check_spl(f, domains, density=4.0, probe_grid=5)
     checks.append(_check("spl_suite", spl.condition_i and spl.condition_iii,
-                         **encode_spl_report(spl)))
+                         **fileio.encode_spl_report(spl)))
     from .curves import image_curve
     from .domains import boundary
     for n, dom in enumerate(domains):
@@ -302,7 +235,7 @@ def _run_sinz(outdir, emit) -> dict:
     nested = check_nested_domains(f, [Disc(0j, 1.0), Disc(0j, 2.0), Disc(0j, 3.0)],
                              density=8.0)
     checks.append(_check("surround_fails_on_discs", not nested.condition_a,
-                         **encode_nested_report(nested)))
+                         **fileio.encode_nested_report(nested)))
 
     # Iterated minimum modulus stays at or below 1 and never diverges.
     rep = iterate_min_modulus(f, 1.0, n_max=50)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SampledCurve, image_curve, winding_number, _insert_samples
+from .curves import SampledCurve, image_curve, refine, winding_number
 from .domains import (DomainSpec, boundary, clearance, contains,
                       contains_closure, diameter, inradius_about,
                       interior_point)
@@ -80,33 +80,6 @@ def _probe_points(domain: DomainSpec, probe_grid: int) -> np.ndarray:
     return probes
 
 
-def _refine_near_domain(curve: SampledCurve, domain: DomainSpec,
-                        max_points: int) -> SampledCurve:
-    """Bisect segments longer than their endpoint clearance.
-
-    After convergence every chord is shorter than the distance of its
-    endpoints to the domain, so a chord cannot sneak across the domain
-    unnoticed.  Refinement is capped; a curve that truly touches the
-    domain simply stops shrinking and the distance test reports zero.
-    """
-    work = curve
-    for _ in range(_REFINE_ROUNDS):
-        c = np.abs(clearance(domain, work.points))
-        ends = np.roll(c, -1)
-        seglen = np.abs(work.segment_ends() - work.segment_starts())
-        bad = np.nonzero(seglen > 0.9 * np.maximum(np.maximum(c, ends), 1e-300))[0]
-        if bad.size == 0 or len(work) + bad.size > max_points:
-            break
-        if work.params is None:
-            n = len(work)
-            work = SampledCurve(work.points, True, np.arange(n) / n, None)
-        refined = _insert_samples(work, bad)
-        if len(refined) == len(work):
-            break
-        work = refined
-    return work
-
-
 def _segment_distance_to_domain(curve: SampledCurve, domain: DomainSpec) -> float:
     from .domains import Disc, _polygon_of, _segment_segment_distance, _point_segment_distance
 
@@ -147,7 +120,17 @@ def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
     """
     if not curve.closed:
         raise ValueError("surrounds requires a closed curve")
-    work = _refine_near_domain(curve, domain, max_points)
+
+    def too_long(c: SampledCurve) -> np.ndarray:
+        # Chords no longer than their endpoints' clearance cannot cross the
+        # domain unnoticed.  A curve that truly touches it stops shrinking
+        # here, and the distance test below reports zero.
+        d = np.abs(clearance(domain, c.points))
+        seglen = np.abs(c.segment_ends() - c.segment_starts())
+        return np.nonzero(
+            seglen > 0.9 * np.maximum(np.maximum(d, np.roll(d, -1)), 1e-300))[0]
+
+    work, _ = refine(curve, too_long, max_points, _REFINE_ROUNDS)
 
     c = clearance(domain, work.points)
     max_penetration = float(max(0.0, -np.min(c)))

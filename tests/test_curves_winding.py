@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from orbitplane.curves import SampledCurve, image_curve, winding_number
+from orbitplane.curves import SampledCurve, image_curve, refine, winding_number
 from orbitplane.domains import Disc, Rect, boundary
 from orbitplane.errors import (AliasingUnresolved, CurveTooClose,
                                RefinementBudgetExceeded)
@@ -139,3 +139,99 @@ def test_curve_validation():
         SampledCurve(np.array([1 + 0j, 1 + 0j, 2 + 0j]), closed=False)
     with pytest.raises(ValueError):
         SampledCurve(np.array([1 + 0j, 2 + 0j, 1 + 0j]), closed=True)
+
+
+TRIANGLE = np.array([1 + 0j, -0.5 + 0.8j, -0.5 - 0.8j])
+
+
+def unit_circle(n):
+    t = np.arange(n) / n
+    return SampledCurve(np.exp(2j * PI * t), True, t,
+                        lambda u: np.exp(2j * PI * np.asarray(u)))
+
+
+def stepped_triangle():
+    # a source that is constant between the samples: bisection only ever
+    # returns points the curve already has
+    src = lambda t: TRIANGLE[np.floor(3 * np.asarray(t)).astype(int) % 3]
+    return SampledCurve(TRIANGLE, True, np.arange(3) / 3, src)
+
+
+def every_segment(curve):
+    return np.arange(len(curve))
+
+
+def test_refine_converged():
+    calls = []
+
+    def long_chords(c):
+        calls.append(len(c))
+        return np.nonzero(np.abs(c.segment_ends() - c.segment_starts()) > 0.1)[0]
+
+    curve, stop = refine(unit_circle(4), long_chords, 10_000)
+    assert stop == "converged"
+    assert float(np.abs(curve.segment_ends() - curve.segment_starts()).max()) <= 0.1
+    np.testing.assert_allclose(np.abs(curve.points), 1.0, atol=1e-15)
+    assert np.all(np.diff(curve.params) > 0)
+    assert calls == [4, 8, 16, 32, 64]
+    # nothing to do: one predicate call, the curve handed back as is
+    calls.clear()
+    again, stop = refine(curve, long_chords, 10_000)
+    assert again is curve and stop == "converged" and calls == [64]
+
+
+def test_refine_budget():
+    curve, stop = refine(unit_circle(4), every_segment, 100)
+    assert stop == "budget"
+    assert len(curve) == 64  # one more round would make 128
+
+
+def test_refine_rounds():
+    curve, stop = refine(unit_circle(4), every_segment, 10_000, max_rounds=3)
+    assert (stop, len(curve)) == ("rounds", 32)
+    same, stop = refine(unit_circle(4), every_segment, 10_000, max_rounds=0)
+    assert (stop, len(same)) == ("rounds", 4)
+    # the cap counts rounds that inserted points: one point per round here
+    first = lambda c: np.array([0])
+    curve, stop = refine(unit_circle(4), first, 10_000, max_rounds=48)
+    assert (stop, len(curve)) == ("rounds", 4 + 48)
+
+
+def test_refine_stalled():
+    start = stepped_triangle()
+    curve, stop = refine(start, every_segment, 10_000)
+    assert stop == "stalled"
+    assert curve is start
+
+
+def test_refine_requires_closed_curve():
+    with pytest.raises(ValueError):
+        refine(SampledCurve(TRIANGLE, False), every_segment, 100)
+
+
+def test_stalled_refinement_raises_instead_of_hanging():
+    with pytest.raises(AliasingUnresolved, match="stalled"):
+        winding_number(stepped_triangle(), 0j)
+    with pytest.raises(RefinementBudgetExceeded, match="stalled") as err:
+        image_curve(parse("z"), stepped_triangle(), max_step=0.5)
+    assert len(err.value.partial) == 3
+
+
+def test_winding_bare_polyline_refines_on_itself():
+    bare = SampledCurve(TRIANGLE, True)  # 120-degree steps about 0 alias
+    centroid = complex(TRIANGLE.mean())
+    assert winding_number(bare, centroid) == 1
+    assert winding_number(bare.reversed(), centroid) == -1
+
+
+def test_image_of_polyline_wraps_through_closing_segment():
+    # params need not start at 0; bisecting the closing segment must land
+    # on it rather than on the first vertex
+    bare = SampledCurve(TRIANGLE, True, np.array([0.1, 0.4, 0.7]))
+    img = image_curve(parse("z"), bare, max_step=0.05)
+    assert float(np.abs(img.segment_ends() - img.segment_starts()).max()) <= 0.05
+    a, b = TRIANGLE, np.roll(TRIANGLE, -1)
+    s = np.clip(((img.points[:, None] - a) * np.conj(b - a)).real
+                / np.abs(b - a) ** 2, 0.0, 1.0)
+    off = np.abs(img.points[:, None] - (a + s * (b - a))).min(axis=1)
+    assert float(off.max()) < 1e-12

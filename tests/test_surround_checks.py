@@ -74,6 +74,43 @@ def test_nested_domains_sin_fails():
     assert float(img.max()) < 2.0
 
 
+# The sin z disc chain is the benchmark traffic that refines near the
+# target domain: pair 1 stops on the round cap at density 8 and stalls at
+# density 29.  Values, and the refined point counts, were recorded before
+# that refinement moved into curves.refine.
+SIN_CHAIN_WINDINGS = (
+    [0, 0, 0, 0, 0, 1, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0],
+    [1, 1, 1, 1, 1, 1, 1, 1, 0, 2, 1, 2, 0, 1, 1, 1, 1, 1, 1, 1, 1],
+)
+
+
+@pytest.mark.parametrize("density, refined", [
+    (8.0, [(51, 51, "converged"), (101, 967, "rounds")]),
+    (29.0, [(183, 183, "converged"), (365, 1195, "stalled")]),
+])
+def test_nested_domains_sin_refinement_pinned(monkeypatch, density, refined):
+    import orbitplane.surround as surround_module
+
+    seen = []
+    original = surround_module.refine
+
+    def spy(curve, bad, max_points, max_rounds=None):
+        work, stop = original(curve, bad, max_points, max_rounds)
+        seen.append((len(curve), len(work), stop))
+        return work, stop
+
+    monkeypatch.setattr(surround_module, "refine", spy)
+    rep = check_nested_domains(parse("sin(z)"),
+                               [Disc(0j, 1.0), Disc(0j, 2.0), Disc(0j, 3.0)],
+                               density=density)
+    assert seen == refined
+    assert [p.report.min_distance for p in rep.pairs] == [0.0, 0.0]
+    assert [p.report.max_penetration for p in rep.pairs] == [
+        1.1585290151921035, 2.090702573174318]
+    assert [[w for _, w in p.report.winding_values]
+            for p in rep.pairs] == list(SIN_CHAIN_WINDINGS)
+
+
 def test_nested_domains_ex51(ex51):
     domains = [ex51_domain(n) for n in range(2, 7)]
     rep = check_nested_domains(ex51, domains, density=4.0, probe_grid=5)
