@@ -33,6 +33,7 @@ __all__ = [
     "clearance",
     "contains",
     "contains_closure",
+    "curve_distance",
     "inradius_about",
     "diameter",
     "interior_point",
@@ -235,10 +236,6 @@ def _trace_outer_polygon(rects: tuple[Rect, ...]) -> list[complex]:
 # Geometry queries
 # ---------------------------------------------------------------------------
 
-def _polygon_of(domain: Rect | RectUnion) -> np.ndarray:
-    return domain.vertices()
-
-
 def _point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances from each point to the nearest of the segments (a[k], b[k])."""
     p = points[:, None]
@@ -272,7 +269,7 @@ def contains(domain: DomainSpec, points, closed: bool = True) -> np.ndarray:
     if not closed:
         # Interior of the union: inside some closed member and strictly
         # away from the outer boundary (the union has no holes).
-        verts = _polygon_of(domain)
+        verts = domain.vertices()
         a, b = verts, np.roll(verts, -1)
         result &= _point_segment_distance(pts, a, b) > 0
     return result
@@ -288,7 +285,7 @@ def clearance(domain: DomainSpec, points) -> np.ndarray:
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
     if isinstance(domain, Disc):
         return np.abs(pts - domain.center) - domain.radius
-    verts = _polygon_of(domain)
+    verts = domain.vertices()
     a, b = verts, np.roll(verts, -1)
     dist = _point_segment_distance(pts, a, b)
     sign = np.where(contains(domain, pts, closed=True), -1.0, 1.0)
@@ -332,13 +329,13 @@ def contains_closure(outer: DomainSpec, inner: DomainSpec) -> bool:
         # radius; exact because validated domains have no holes.
         c = clearance(outer, inner.center)[0]
         return c < 0 and -c > inner.radius
-    verts = _polygon_of(inner)
+    verts = inner.vertices()
     if isinstance(outer, Disc):
         return bool(np.all(np.abs(verts - outer.center) < outer.radius))
     if not np.all(clearance(outer, verts) < 0):
         return False
     # No inner edge may touch or cross the outer boundary.
-    overts = _polygon_of(outer)
+    overts = outer.vertices()
     oa, ob = overts, np.roll(overts, -1)
     a, b = verts, np.roll(verts, -1)
     return float(np.min(_segment_segment_distance(a, b, oa, ob))) > 0.0
@@ -379,6 +376,26 @@ def _segment_segment_distance(a1: np.ndarray, b1: np.ndarray,
     return np.min(d, axis=1)
 
 
+def curve_distance(curve: SampledCurve, domain: DomainSpec) -> float:
+    """Distance from the segments of a closed curve to the closed domain.
+
+    Zero when a curve sample lies in the closed domain.
+    """
+    a, b = curve.segment_starts(), curve.segment_ends()
+    if contains(domain, curve.points, closed=True).any():
+        return 0.0
+    if isinstance(domain, Disc):
+        center = np.array([domain.center])
+        d = _point_segment_distance(center, a, b)[0] - domain.radius
+        return float(max(0.0, d))
+    # A segment could cross the domain without its endpoints being inside;
+    # crossing the boundary polygon yields distance zero here, and a
+    # segment entirely inside is excluded by the endpoint test.
+    verts = domain.vertices()
+    return float(np.min(_segment_segment_distance(a, b, verts,
+                                                  np.roll(verts, -1))))
+
+
 # ---------------------------------------------------------------------------
 # Boundary sampling
 # ---------------------------------------------------------------------------
@@ -403,7 +420,7 @@ def boundary(domain: DomainSpec, density: float = 10.0) -> SampledCurve:
 
         return SampledCurve(source(t), True, t, source)
 
-    verts = _polygon_of(domain)
+    verts = domain.vertices()
     edges = np.roll(verts, -1) - verts
     lengths = np.abs(edges)
     total = float(np.sum(lengths))

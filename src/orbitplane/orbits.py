@@ -7,12 +7,14 @@ near-cycle is a bounded suspect, and a full budget with moderate maximum
 modulus is bounded-suspect or undecided depending on how much headroom
 was left.  Cycle detection confirms every near-return by replaying one
 full period before locking, which avoids false positives from slow
-spirals.
+spirals.  One batched orbit kernel applies these rules: a single orbit
+is a batch of one, and ``raster.classify_grid`` runs it on every pixel.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import IntEnum
 from typing import Optional
@@ -33,7 +35,6 @@ __all__ = [
     "iterate_orbit",
     "classify_point",
     "class_of_verdict",
-    "bounded_after_budget",
     "find_fixed_points",
     "SUPERATTRACTING",
     "ATTRACTING",
@@ -58,6 +59,18 @@ _MULT_UNIT_TOL = 1e-8
 _BOUNDED_HEADROOM = 100.0
 
 _HUGE = float(np.finfo(np.float64).max)
+
+# Stop codes of the orbit kernel index this tuple of verdict kinds.
+_KINDS = (BUDGET_EXHAUSTED, ESCAPED, CYCLE_LOCKED)
+_BUDGET, _ESCAPED, _LOCKED = range(3)
+
+# History rows per near-return prefilter call: as many as fit in this many
+# elements (at least one), so a small batch scans its window in one call.
+_SCAN_BLOCK = 4096
+
+# The kernel compacts its per-start state once fewer than this share of
+# the starts in its working prefix are still active.
+_COMPACT_FRACTION = 0.9
 
 
 class PointClass(IntEnum):
@@ -113,45 +126,23 @@ def iterate_orbit(f: FunctionExpression, z0: complex, policy: OrbitPolicy,
     Total: overflow saturates and counts as escape.  A near-return within
     ``cycle_tol`` of any of the last ``cycle_window`` orbit points only
     locks after the orbit replays one full period and returns again.
+    The orbit kernel runs on a batch of one; the trace, if kept, replays
+    its evaluations up to the step where it stopped.
     """
-    z = complex(z0)
-    trace = [z] if keep_trace else None
-    recent: list[complex] = [z]  # last cycle_window points, oldest first
-    max_mod = abs(z)
-    pending_due = -1
-    pending_target = 0j
-    pending_period = 0
-
-    for step in range(1, policy.budget + 1):
-        z, overflowed = evaluate_with_overflow(f, z)
-        m = abs(z)
-        if keep_trace:
-            trace.append(z)
-        max_mod = max(max_mod, m)
-        if overflowed or m >= policy.escape_radius:
-            modulus = m if m >= policy.escape_radius else _HUGE
-            return OrbitVerdict(ESCAPED, escape_step=step, escape_modulus=modulus,
-                                max_modulus=max_mod,
-                                trace=tuple(trace) if keep_trace else None)
-        if pending_due == step:
-            if abs(z - pending_target) < policy.cycle_tol:
-                return OrbitVerdict(CYCLE_LOCKED, period=pending_period,
-                                    representative=pending_target,
-                                    max_modulus=max_mod,
-                                    trace=tuple(trace) if keep_trace else None)
-            pending_due = -1
-        if pending_due < 0:
-            for lag in range(1, min(step, policy.cycle_window) + 1):
-                if abs(z - recent[-lag]) < policy.cycle_tol:
-                    pending_due = step + lag
-                    pending_target = z
-                    pending_period = lag
-                    break
-        recent.append(z)
-        if len(recent) > policy.cycle_window:
-            recent.pop(0)
-    return OrbitVerdict(BUDGET_EXHAUSTED, max_modulus=max_mod,
-                        trace=tuple(trace) if keep_trace else None)
+    stops = _iterate(f, np.array([z0], dtype=np.complex128), policy)
+    kind = _KINDS[stops.kind[0]]
+    step = int(stops.step[0])
+    trace = [complex(z0)]
+    for _ in range(step if keep_trace else 0):
+        trace.append(evaluate(f, trace[-1]))
+    escaped, locked = kind == ESCAPED, kind == CYCLE_LOCKED
+    return OrbitVerdict(
+        kind, escape_step=step if escaped else None,
+        escape_modulus=float(stops.escape_modulus[0]) if escaped else None,
+        period=int(stops.period[0]) if locked else None,
+        representative=complex(stops.representative[0]) if locked else None,
+        max_modulus=float(stops.max_modulus[0]),
+        trace=tuple(trace) if keep_trace else None)
 
 
 def classify_point(f: FunctionExpression, z0: complex,
@@ -168,18 +159,139 @@ def classify_point(f: FunctionExpression, z0: complex,
 
 def class_of_verdict(verdict: OrbitVerdict, policy: OrbitPolicy) -> PointClass:
     """The point class of an orbit verdict (see :func:`classify_point`)."""
-    if verdict.kind == ESCAPED:
-        return PointClass.UNBOUNDED_SUSPECT
-    if verdict.kind == CYCLE_LOCKED:
-        return PointClass.BOUNDED_SUSPECT
-    if bounded_after_budget(verdict.max_modulus, policy):
-        return PointClass.BOUNDED_SUSPECT
-    return PointClass.UNDECIDED
+    return PointClass(int(_classes(_KINDS.index(verdict.kind),
+                                   verdict.max_modulus, policy)))
 
 
-def bounded_after_budget(max_modulus, policy: OrbitPolicy):
-    """Whether budget-exhausted orbits (scalar or array) are bounded suspects."""
-    return max_modulus < policy.escape_radius / _BOUNDED_HEADROOM
+def _classes(kind, max_modulus, policy: OrbitPolicy):
+    """Point classes of kernel kind codes and max moduli (scalars or arrays)."""
+    bounded = (kind == _LOCKED) | (
+        max_modulus < policy.escape_radius / _BOUNDED_HEADROOM)
+    return np.where(kind == _ESCAPED, PointClass.UNBOUNDED_SUSPECT,
+                    np.where(bounded, PointClass.BOUNDED_SUSPECT,
+                             PointClass.UNDECIDED))
+
+
+# Per-start outcome of _iterate, indexed like its starts: ``kind`` holds
+# codes into _KINDS; ``escape_modulus`` means something only where the
+# start escaped, ``period`` and ``representative`` only where it locked.
+_Stops = namedtuple("_Stops", "kind step escape_modulus period representative "
+                    "max_modulus")
+
+
+def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy) -> _Stops:
+    """The orbit kernel: iterate each start of the 1-D array ``z`` in place.
+
+    Per-start state lives in the prefix ``[:nc]`` of its arrays and is
+    compacted in place once few enough of those starts are still active.
+    The near-return scan compares each new point with its whole history
+    window, in blocks of rows: real parts first (|Re d| <= |d|, so no
+    return is missed), then the complex modulus of the hits; the smallest
+    confirmed lag wins.
+    """
+    n, w, tol = z.size, policy.cycle_window, policy.cycle_tol
+    kind = np.zeros(n, dtype=np.uint8)
+    stop_step = np.zeros(n, dtype=np.int32)
+    escape_modulus = np.zeros(n)
+    period = np.zeros(n, dtype=np.int32)
+    representative = np.zeros(n, dtype=np.complex128)
+    max_out = np.zeros(n)
+
+    orig = np.arange(n)  # position -> start index
+    alive = np.ones(n, dtype=bool)
+    max_mod = np.abs(z)
+    # Row s % w holds the orbit point at step s.
+    hist_re, hist_im = np.empty((2, w, n))
+    hist_re[0], hist_im[0] = z.real, z.imag
+    # A pending near-return is due at this step, against the target and
+    # lag already stored in representative and period; -1 when none.
+    pending_due = np.full(n, -1, dtype=np.int64)
+    scratch = np.empty(min(w * n, max(n, _SCAN_BLOCK)))  # prefilter blocks
+    near = np.empty(scratch.size, dtype=bool)
+    nc = n
+
+    def stop(at, code, step):
+        out = orig[at]
+        kind[out] = code
+        stop_step[out] = step
+        max_out[out] = max_mod[at]
+        alive[at] = False
+        return out
+
+    for step in range(1, policy.budget + 1):
+        pos = alive[:nc].nonzero()[0]
+        z_new, overflowed = evaluate_with_overflow(f, z[pos])
+        m = np.abs(z_new)
+        z[pos] = z_new
+        max_mod[pos] = np.maximum(max_mod[pos], m)
+
+        escaped = overflowed | (m >= policy.escape_radius)
+        if np.count_nonzero(escaped):
+            esc = pos[escaped]
+            m_esc = m[escaped]
+            escape_modulus[stop(esc, _ESCAPED, step)] = np.where(
+                m_esc >= policy.escape_radius, m_esc, _HUGE)
+            pending_due[esc] = -1
+
+        # A start that stopped keeps a due step in the past, or -1.
+        due = (pending_due[:nc] == step).nonzero()[0]
+        if due.size:
+            hit = np.abs(z[due] - representative[orig[due]]) < tol
+            stop(due[hit], _LOCKED, step)
+            pending_due[due[~hit]] = -1
+
+        zr = z[:nc]
+        scanning = alive[:nc] & (pending_due[:nc] < 0)
+        if np.count_nonzero(scanning):
+            sr = np.where(scanning, zr.real, np.nan)  # NaN never matches
+            rows = min(step, w)  # history rows written so far
+            block = min(w, max(1, _SCAN_BLOCK // nc))
+            d_block = scratch[:block * nc].reshape(block, nc)
+            hits_block = near[:block * nc].reshape(block, nc)
+            keys = []
+            for r0 in range(0, rows, block):
+                r1 = min(r0 + block, rows)
+                d, hits = d_block[:r1 - r0], hits_block[:r1 - r0]
+                np.subtract(hist_re[r0:r1, :nc], sr, out=d)
+                np.abs(d, out=d)
+                np.less(d, tol, out=hits)
+                if not np.count_nonzero(hits):
+                    continue
+                slot, col = np.nonzero(hits)
+                slot += r0
+                cand = hist_re[slot, col] + 1j * hist_im[slot, col]
+                ok = np.abs(zr[col] - cand) < tol
+                # Row slot holds step s = step - lag with slot = s % w.
+                keys.append(col[ok] * (w + 1) + (step - 1 - slot[ok]) % w + 1)
+            if keys:
+                # The smallest confirmed lag of each start wins.
+                key = np.unique(np.concatenate(keys))
+                col, first = np.unique(key // (w + 1), return_index=True)
+                lag = key[first] % (w + 1)
+                pending_due[col] = step + lag
+                period[orig[col]] = lag
+                representative[orig[col]] = zr[col]
+
+        hist_re[step % w, :nc] = zr.real
+        hist_im[step % w, :nc] = zr.imag
+
+        n_alive = int(np.count_nonzero(alive[:nc]))
+        if n_alive == 0:
+            break
+        if n_alive < _COMPACT_FRACTION * nc:
+            keep = alive[:nc].nonzero()[0]
+            for arr in (z, orig, max_mod, pending_due):
+                arr[:n_alive] = arr[keep]
+            for plane in (hist_re, hist_im):
+                for row in plane[:min(step + 1, w)]:  # rows written so far
+                    row[:n_alive] = row[keep]
+            alive[:n_alive] = True
+            nc = n_alive
+
+    # The starts still alive exhausted their budget.
+    stop(alive[:nc].nonzero()[0], _BUDGET, policy.budget)
+    return _Stops(kind, stop_step, escape_modulus, period, representative,
+                  max_out)
 
 
 @dataclass(frozen=True)

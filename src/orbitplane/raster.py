@@ -1,10 +1,9 @@
 """Pixel-grid classification, component census, and boundary extraction.
 
-``classify_grid`` runs the same escape/cycle/budget semantics as
-``orbits.iterate_orbit`` for every pixel center simultaneously; the
-vectorized loop and the scalar loop share evaluation code paths, so a
-grid cell is classified exactly as the corresponding single point would
-be.  The component census is a run-based labeling of one suspect class;
+``classify_grid`` runs the orbit kernel of ``orbits`` on every pixel
+center at once; a single orbit is the same kernel on a batch of one, so
+a pixel is classified exactly as its center would be as a single point.
+The component census is a run-based labeling of one suspect class;
 its boundary against the other classes is the pixel-level approximation
 of the Julia set.  Undecided pixels are excluded from every census so
 heuristic uncertainty can never silently merge components.
@@ -19,8 +18,8 @@ import numpy as np
 
 from .domains import Rect
 from .errors import RadiusOutsideWindow
-from .expressions import FunctionExpression, evaluate_with_overflow
-from .orbits import OrbitPolicy, PointClass, bounded_after_budget
+from .expressions import FunctionExpression
+from .orbits import OrbitPolicy, PointClass, _classes, _iterate
 
 __all__ = [
     "GridSpec",
@@ -44,10 +43,6 @@ PALETTE = {
     PointClass.UNDECIDED: (128, 128, 128),
 }
 BOUNDARY_RGB = (255, 0, 0)
-
-# classify_grid compacts its per-pixel state once fewer than this share of
-# the pixels in the working prefix are still active.
-_COMPACT_FRACTION = 0.9
 
 
 @dataclass(frozen=True)
@@ -116,112 +111,12 @@ def classification_from_array(classes: np.ndarray, window: Rect | None = None,
 
 def classify_grid(f: FunctionExpression, grid: GridSpec,
                   policy: OrbitPolicy) -> PixelClassification:
-    """Classify every pixel center; identical to classify_point per pixel.
+    """Classify every pixel center with the orbit kernel of ``orbits``.
 
-    The iteration is vectorized over the active pixel set with the same
-    stopping rules as the scalar orbit loop: escape on radius or
-    overflow, cycle lock only after a replayed full period confirms a
-    near-return, bounded/undecided split on budget exhaustion.
-
-    Per-pixel state lives in the prefix ``[:nc]`` of its arrays and is
-    compacted in place once few enough of those pixels are still active.
-    The near-return scan compares real parts first (|Re d| <= |d|, so
-    no return is missed) and takes the complex modulus only of the hits.
+    A pixel gets exactly the class ``classify_point`` gives its center.
     """
-    n = grid.nx * grid.ny
-    w = policy.cycle_window
-    tol = policy.cycle_tol
-
-    z = grid.pixel_centers().ravel()
-    orig = np.arange(n)  # position -> flat pixel index
-    alive = np.ones(n, dtype=bool)
-    classes = np.zeros(n, dtype=np.uint8)
-    max_mod = np.abs(z)
-    # Row s % w holds the orbit point at step s.
-    hist_re = np.empty((w, n))
-    hist_im = np.empty((w, n))
-    hist_re[0] = z.real
-    hist_im[0] = z.imag
-    pending_due = np.full(n, -1, dtype=np.int64)
-    pending_target = np.zeros(n, dtype=np.complex128)
-    scan_re = np.empty(n)  # Re z of scanning pixels, NaN elsewhere
-    diff = np.empty(n)
-    near = np.empty(n, dtype=bool)
-    nc = n
-
-    for step in range(1, policy.budget + 1):
-        pos = np.flatnonzero(alive[:nc])
-        z_new, overflowed = evaluate_with_overflow(f, z[pos])
-        m = np.abs(z_new)
-        z[pos] = z_new
-        max_mod[pos] = np.maximum(max_mod[pos], m)
-
-        escaped = overflowed | (m >= policy.escape_radius)
-        if escaped.any():
-            esc = pos[escaped]
-            classes[orig[esc]] = PointClass.UNBOUNDED_SUSPECT
-            alive[esc] = False
-            pending_due[esc] = -1
-
-        due = pos[pending_due[pos] == step]
-        if due.size:
-            hit = np.abs(z[due] - pending_target[due]) < tol
-            locked = due[hit]
-            classes[orig[locked]] = PointClass.BOUNDED_SUSPECT
-            alive[locked] = False
-            pending_due[due[~hit]] = -1
-
-        scanning = alive[:nc] & (pending_due[:nc] < 0)
-        n_scan = int(np.count_nonzero(scanning))
-        if n_scan:
-            sr, zr = scan_re[:nc], z[:nc]
-            np.copyto(sr, zr.real)
-            sr[~scanning] = np.nan
-            d, hits = diff[:nc], near[:nc]
-            for lag in range(1, min(step, w) + 1):
-                slot = (step - lag) % w
-                np.subtract(sr, hist_re[slot, :nc], out=d)
-                np.abs(d, out=d)
-                np.less(d, tol, out=hits)
-                if not hits.any():
-                    continue
-                cand_idx = np.flatnonzero(hits)
-                cand = np.empty(cand_idx.size, dtype=np.complex128)
-                cand.real = hist_re[slot, cand_idx]
-                cand.imag = hist_im[slot, cand_idx]
-                found = cand_idx[np.abs(zr[cand_idx] - cand) < tol]
-                if found.size:
-                    pending_due[found] = step + lag
-                    pending_target[found] = zr[found]
-                    sr[found] = np.nan
-                    n_scan -= found.size
-                    if not n_scan:
-                        break
-
-        hist_re[step % w, :nc] = z[:nc].real
-        hist_im[step % w, :nc] = z[:nc].imag
-
-        n_alive = int(np.count_nonzero(alive[:nc]))
-        if n_alive == 0:
-            break
-        if n_alive < _COMPACT_FRACTION * nc:
-            keep = np.flatnonzero(alive[:nc])
-            moved = np.flatnonzero(pending_due[keep] >= 0)
-            pending_target[moved] = pending_target[keep[moved]]
-            for arr in (z, orig, max_mod, pending_due):
-                arr[:n_alive] = arr[keep]
-            for plane in (hist_re, hist_im):
-                for row in plane[:min(step + 1, w)]:  # rows written so far
-                    np.take(row, keep, out=diff[:n_alive])
-                    row[:n_alive] = diff[:n_alive]
-            alive[:n_alive] = True
-            nc = n_alive
-
-    # The pixels still alive exhausted their budget.
-    rest = np.flatnonzero(alive[:nc])
-    classes[orig[rest]] = np.where(bounded_after_budget(max_mod[rest], policy),
-                                   PointClass.BOUNDED_SUSPECT,
-                                   PointClass.UNDECIDED)
+    stops = _iterate(f, grid.pixel_centers().ravel(), policy)
+    classes = _classes(stops.kind, stops.max_modulus, policy).astype(np.uint8)
     return PixelClassification(grid, classes.reshape(grid.ny, grid.nx), policy)
 
 

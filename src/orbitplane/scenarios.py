@@ -18,13 +18,15 @@ passes only if every asserted check passes.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import fileio
-from .domains import Disc, Rect, RectUnion
+from .curves import image_curve
+from .domains import Disc, Rect, RectUnion, boundary
 from .expressions import evaluate, parse
 from .modulus import DIVERGES, iterate_min_modulus
 from .orbits import (OrbitPolicy, PointClass, REPELLING, SUPERATTRACTING,
@@ -86,7 +88,7 @@ def _check(name: str, passed: bool, **details) -> dict:
     return {"name": name, "passed": bool(passed), "details": details}
 
 
-def _run_ex51(outdir, emit) -> dict:
+def _run_ex51(emit) -> dict:
     pi = math.pi
     f = parse(EX51_SOURCE)
     checks = []
@@ -113,8 +115,6 @@ def _run_ex51(outdir, emit) -> dict:
     nested = check_nested_domains(f, domains, density=4.0, probe_grid=5)
     checks.append(_check("surround_suite", nested.verdict,
                          **fileio.encode_nested_report(nested)))
-    from .curves import image_curve
-    from .domains import boundary
     for n, dom in zip(range(2, 7), domains):
         curve = boundary(dom, 4.0)
         emit(f"ex51_boundary_D{n}.csv",
@@ -138,7 +138,7 @@ def _run_ex51(outdir, emit) -> dict:
     return {"function": EX51_SOURCE, "checks": checks}
 
 
-def _run_ex52(outdir, emit) -> dict:
+def _run_ex52(emit) -> dict:
     pi = math.pi
     f = parse(EX52_SOURCE)
     checks = []
@@ -170,8 +170,6 @@ def _run_ex52(outdir, emit) -> dict:
     spl = check_spl(f, domains, density=4.0, probe_grid=5)
     checks.append(_check("spl_suite", spl.condition_i and spl.condition_iii,
                          **fileio.encode_spl_report(spl)))
-    from .curves import image_curve
-    from .domains import boundary
     for n, dom in enumerate(domains):
         img = image_curve(f, boundary(dom, 4.0), max_step=None)
         emit(f"ex52_image_D{n}.csv", lambda p, c=img: fileio.curves_csv(p, [c]))
@@ -199,7 +197,7 @@ def _run_ex52(outdir, emit) -> dict:
     return {"function": EX52_SOURCE, "checks": checks}
 
 
-def _run_sinz(outdir, emit) -> dict:
+def _run_sinz(emit) -> dict:
     f = parse(SINZ_SOURCE)
     checks = []
     policy = OrbitPolicy(budget=200, escape_radius=1e6)
@@ -286,8 +284,6 @@ def run_scenario(name: str, outdir) -> dict:
     Returns the scenario report; ``report["passed"]`` aggregates all
     asserted checks.
     """
-    import os
-
     if name not in SCENARIOS:
         raise KeyError(f"unknown scenario {name!r}; "
                        f"available: {', '.join(sorted(SCENARIOS))}")
@@ -299,7 +295,7 @@ def run_scenario(name: str, outdir) -> dict:
         writer(path)
         files.append(filename)
 
-    body = SCENARIOS[name].runner(outdir, emit)
+    body = SCENARIOS[name].runner(emit)
     report = {
         "kind": "scenario",
         "name": name,

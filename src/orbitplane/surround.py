@@ -23,8 +23,8 @@ import numpy as np
 
 from .curves import SampledCurve, image_curve, refine, winding_number
 from .domains import (DomainSpec, boundary, clearance, contains,
-                      contains_closure, diameter, inradius_about,
-                      interior_point)
+                      contains_closure, curve_distance, diameter,
+                      inradius_about, interior_point)
 from .errors import CurveTooClose
 from .expressions import FunctionExpression
 
@@ -80,27 +80,6 @@ def _probe_points(domain: DomainSpec, probe_grid: int) -> np.ndarray:
     return probes
 
 
-def _segment_distance_to_domain(curve: SampledCurve, domain: DomainSpec) -> float:
-    from .domains import Disc, _polygon_of, _segment_segment_distance, _point_segment_distance
-
-    a = curve.segment_starts()
-    b = curve.segment_ends()
-    inside = contains(domain, curve.points, closed=True)
-    if inside.any():
-        return 0.0
-    if isinstance(domain, Disc):
-        center = np.array([domain.center])
-        d = _point_segment_distance(center, a, b)[0] - domain.radius
-        return float(max(0.0, d))
-    verts = _polygon_of(domain)
-    oa, ob = verts, np.roll(verts, -1)
-    d = float(np.min(_segment_segment_distance(a, b, oa, ob)))
-    # A segment could cross the domain without its endpoints being inside;
-    # crossing the boundary polygon yields distance zero above, and a
-    # segment entirely inside is excluded by the endpoint test.
-    return d
-
-
 def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
               *, min_distance_required: float = 0.0,
               touch_tolerance: float | None = None,
@@ -134,7 +113,7 @@ def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
 
     c = clearance(domain, work.points)
     max_penetration = float(max(0.0, -np.min(c)))
-    min_distance = _segment_distance_to_domain(work, domain)
+    min_distance = curve_distance(work, domain)
 
     if touch_tolerance is None:
         geom_ok = min_distance > min_distance_required

@@ -9,6 +9,7 @@ from orbitplane.orbits import (ATTRACTING, BUDGET_EXHAUSTED, CYCLE_LOCKED,
                                ESCAPED, INDIFFERENT, OrbitPolicy, PointClass,
                                REPELLING, SUPERATTRACTING, classify_point,
                                find_fixed_points, iterate_orbit)
+from reference_orbit import reference_orbit
 
 PI = math.pi
 
@@ -65,6 +66,38 @@ def test_orbit_determinism_and_trace():
     b = iterate_orbit(f, 0.3 + 0.2j, OrbitPolicy(), keep_trace=True)
     assert a == b
     assert a.trace[0] == 0.3 + 0.2j
+
+
+@pytest.mark.parametrize("source, z0, policy, kind", [
+    ("z^2", 2.0, OrbitPolicy(), ESCAPED),
+    ("exp(z)", 800.0, OrbitPolicy(), ESCAPED),
+    # overflow flags the step although the value it saturates into is 0
+    ("exp(-exp(z))", 800.0, OrbitPolicy(), ESCAPED),
+    # escapes on the very step its near-return from step 1 falls due
+    ("2*z", 0.1, OrbitPolicy(escape_radius=0.3, cycle_tol=0.5), ESCAPED),
+    ("z^2 - 1", 0.3 + 0.1j, OrbitPolicy(), CYCLE_LOCKED),
+    ("cos(z) + z", 3 * PI / 2 + 1e-3, OrbitPolicy(), CYCLE_LOCKED),
+    ("sin(z)", 1.0, OrbitPolicy(budget=50), BUDGET_EXHAUSTED),
+])
+def test_trace_replays_the_kernel_orbit(source, z0, policy, kind):
+    f = parse(source)
+    v = iterate_orbit(f, z0, policy, keep_trace=True)
+    want = reference_orbit(f, z0, policy, keep_trace=True)
+    assert v.kind == kind
+    assert (v.escape_step, v.period, v.representative) == \
+        (want.escape_step, want.period, want.representative)
+    assert v.escape_modulus == pytest.approx(want.escape_modulus, rel=1e-15)
+    assert v.trace == want.trace
+    if kind == ESCAPED:
+        assert len(v.trace) == v.escape_step + 1
+        if v.escape_modulus < 1e308:  # else the orbit overflowed
+            assert np.abs(v.trace[-1]) == v.escape_modulus
+    elif kind == CYCLE_LOCKED:
+        assert v.trace[-1 - v.period] == v.representative
+        assert abs(v.trace[-1] - v.representative) < policy.cycle_tol
+    else:
+        assert len(v.trace) == policy.budget + 1
+    assert max(np.abs(v.trace)) == v.max_modulus
 
 
 def test_escape_trace_monotone_for_squaring():

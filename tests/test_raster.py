@@ -8,11 +8,12 @@ import pytest
 from orbitplane.domains import Rect
 from orbitplane.errors import RadiusOutsideWindow
 from orbitplane.expressions import parse
-from orbitplane.orbits import (OrbitPolicy, PointClass, classify_point,
-                               iterate_orbit)
+from orbitplane.orbits import (_KINDS, OrbitPolicy, PointClass, _iterate,
+                               class_of_verdict, iterate_orbit)
 from orbitplane.raster import (GridSpec, boundary_pixels,
                                classification_from_array, classify_grid,
                                label_components, spiders_web_probe)
+from reference_orbit import reference_orbit
 
 PI = math.pi
 U = int(PointClass.UNBOUNDED_SUSPECT)
@@ -90,8 +91,23 @@ def test_classify_grid_matches_classify_point():
     centers = grid.pixel_centers()
     for iy in range(grid.ny):
         for ix in range(grid.nx):
-            assert pc.classes[iy, ix] == int(
-                classify_point(f, complex(centers[iy, ix]), pol))
+            verdict = reference_orbit(f, centers[iy, ix], pol)
+            assert pc.classes[iy, ix] == int(class_of_verdict(verdict, pol))
+
+
+def assert_within_ulp(got, want):
+    # np.abs of a complex is not correctly rounded (1.6 ulp off on an
+    # escaping z^2 - 1.3107 orbit), Python's abs is; allow two ulps.
+    assert abs(got - want) <= 2 * math.ulp(want), (got, want)
+
+
+def assert_same_verdict(got, want):
+    """Equal verdicts, moduli to two ulps (the reference uses Python abs)."""
+    assert (got.kind, got.escape_step, got.period, got.representative) == \
+        (want.kind, want.escape_step, want.period, want.representative)
+    assert_within_ulp(got.max_modulus, want.max_modulus)
+    if want.escape_modulus is not None:
+        assert_within_ulp(got.escape_modulus, want.escape_modulus)
 
 
 SHORT_BUDGET = OrbitPolicy(budget=6, escape_radius=30.0, cycle_tol=1e-2,
@@ -123,15 +139,31 @@ SHORT_BUDGET = OrbitPolicy(budget=6, escape_radius=30.0, cycle_tol=1e-2,
         "short-budget-period-2", "headroom", "chaotic"])
 def test_classify_grid_matches_classify_point_grids(source, window, policy,
                                                     periods):
+    # The kernel runs once over the grid and every pixel's stop is checked
+    # against the reference loop; iterate_orbit, a batch of one, is
+    # checked on every 37th pixel.
     f = parse(source)
     grid = GridSpec(window, 40, 20)
+    centers = grid.pixel_centers().ravel()
     pc = classify_grid(f, grid, policy)
+    stops = _iterate(f, centers.copy(), policy)
     seen = set()
-    for (iy, ix), z0 in np.ndenumerate(grid.pixel_centers()):
-        verdict = iterate_orbit(f, complex(z0), policy)
-        if verdict.period:
-            seen.add(verdict.period)
-        assert pc.classes[iy, ix] == int(classify_point(f, complex(z0), policy))
+    for k, z0 in enumerate(centers):
+        want = reference_orbit(f, z0, policy)
+        if want.period:
+            seen.add(want.period)
+        kind = _KINDS[stops.kind[k]]
+        assert kind == want.kind
+        if want.escape_step is not None:
+            assert stops.step[k] == want.escape_step
+            assert_within_ulp(stops.escape_modulus[k], want.escape_modulus)
+        if want.period is not None:
+            assert (stops.period[k], stops.representative[k]) == \
+                (want.period, want.representative)
+        assert_within_ulp(stops.max_modulus[k], want.max_modulus)
+        assert pc.classes.flat[k] == int(class_of_verdict(want, policy))
+        if k % 37 == 0:
+            assert_same_verdict(iterate_orbit(f, z0, policy), want)
     assert seen == periods
 
 
