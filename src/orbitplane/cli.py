@@ -14,7 +14,9 @@ is ORBITPLANE_OUT, which overrides the default output directory.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import os
 import re
 import sys
@@ -25,7 +27,8 @@ import numpy as np
 from . import fileio
 from .curves import image_curve
 from .domains import Disc, Rect, boundary
-from .errors import ExprSyntaxError, NonEntireError, OrbitPlaneError
+from .errors import (DegenerateDomain, ExprSyntaxError, NonEntireError,
+                     OrbitPlaneError)
 from .expressions import parse as parse_expr
 from .modulus import (derive_disc_sequence, iterate_min_modulus, max_modulus,
                       min_modulus)
@@ -52,12 +55,28 @@ def _parse_floats(text: str, count: int, what: str) -> list[float]:
 
 def _complex_flag(text: str) -> complex:
     re_, im_ = _parse_floats(text, 2, "a complex value")
+    if not (math.isfinite(re_) and math.isfinite(im_)):
+        raise argparse.ArgumentTypeError(
+            f"a complex value needs finite parts, got {text!r}")
     return complex(re_, im_)
 
 
 def _window_flag(text: str) -> Rect:
     x0, x1, y0, y1 = _parse_floats(text, 4, "a window")
-    return Rect(x0, x1, y0, y1)
+    try:
+        return Rect(x0, x1, y0, y1)
+    except DegenerateDomain as exc:
+        raise argparse.ArgumentTypeError(f"window {text!r}: {exc}") from exc
+
+
+def _radii_flag(text: str) -> list[float]:
+    radii = [float(p) for p in text.split(",")]
+    if not (all(0 < r < math.inf for r in radii)
+            and all(a < b for a, b in zip(radii, radii[1:]))):
+        raise argparse.ArgumentTypeError(
+            "radii need comma-separated positive finite numbers in "
+            f"strictly increasing order, got {text!r}")
+    return radii
 
 
 def _class_flag(text: str) -> PointClass:
@@ -101,10 +120,13 @@ def _domains_of(args) -> list:
     given = sum(bool(v) for v in (args.discs, args.rects, args.family))
     if given != 1:
         raise SystemExit2("give exactly one of --discs, --rects, --family")
-    if args.discs:
-        return [Disc(0j, float(r)) for r in args.discs.split(",")]
-    if args.rects:
-        return [_window_flag(chunk) for chunk in args.rects.split(";")]
+    try:
+        if args.discs:
+            return [Disc(0j, float(r)) for r in args.discs.split(",")]
+        if args.rects:
+            return [_window_flag(chunk) for chunk in args.rects.split(";")]
+    except (ValueError, argparse.ArgumentTypeError, DegenerateDomain) as exc:
+        raise SystemExit2(f"bad domain: {exc}") from exc
     builder = ex51_domain if args.family == "ex51" else ex52_domain
     lo = args.n_lo if args.n_lo is not None else (2 if args.family == "ex51" else 0)
     hi = args.n_hi if args.n_hi is not None else (6 if args.family == "ex51" else 3)
@@ -121,7 +143,9 @@ class SystemExit2(Exception):
 _NEGATIVE_VALUE = re.compile(r"^-(\d|\.\d)")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once; parsing leaves no state on it."""
     root = argparse.ArgumentParser(
         prog="orbitplane",
         description="Numerical exploration of the set of unbounded orbits "
@@ -215,7 +239,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--connectivity", type=int, choices=[4, 8], default=4)
     p.add_argument("--center", type=_complex_flag, default=0j,
                    help="probe center as re,im (default 0,0)")
-    p.add_argument("--radii", required=True,
+    p.add_argument("--radii", type=_radii_flag, required=True,
                    help="comma-separated increasing radii")
 
     p = sub.add_parser("scenario", help="run a built-in study")
@@ -443,12 +467,11 @@ def _cmd_components(args, outdir):
 
 def _cmd_sw_probe(args, outdir):
     lab = _label_input(args, outdir)
-    radii = [float(r) for r in args.radii.split(",")]
-    rep = spiders_web_probe(lab, args.center, radii)
+    rep = spiders_web_probe(lab, args.center, args.radii)
     report = {
         "kind": "sw_probe", "input": args.input, "target": args.target.name,
         "connectivity": args.connectivity,
-        "center": fileio.encode_complex(args.center), "radii": radii,
+        "center": fileio.encode_complex(args.center), "radii": args.radii,
         "per_radius": [{"radius": r, "surrounded": s}
                        for r, s in rep.per_radius],
         "verdict": rep.verdict, "component_id": rep.component_id,

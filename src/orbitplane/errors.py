@@ -36,7 +36,8 @@ class NonEntireError(OrbitPlaneError):
 
 
 class InvalidRadius(OrbitPlaneError):
-    """Radius argument is non-positive or non-finite."""
+    """Radius argument is non-positive or non-finite, or a spider's-web
+    probe radius is at or below half the pixel diagonal."""
 
 
 class DegenerateDomain(OrbitPlaneError):

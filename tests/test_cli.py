@@ -5,7 +5,7 @@ import os
 import numpy as np
 import pytest
 
-from orbitplane import fileio
+from orbitplane import cli, fileio
 from orbitplane.cli import main
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -62,6 +62,56 @@ def test_parse_check_rejects_deep_and_non_finite(tmp_path, capsys, source):
 def test_usage_error_exit_code(tmp_path):
     assert run(tmp_path, "no-such-command") == 2
     assert run(tmp_path, "minmod", "--f", "z^2") == 2  # missing --r
+
+
+@pytest.fixture(scope="module")
+def sin_archive(tmp_path_factory):
+    out = tmp_path_factory.mktemp("archive")
+    assert main(["--out", str(out), "render", "--f", "sin(z)", "--window",
+                 "-10,10,-5,5", "--nx", "40", "--ny", "20"]) == 0
+    return str(out / "render.npz")
+
+
+BAD_FLAG_VALUES = {
+    "radii-decreasing": ["sw-probe", "--radii", "4,2"],
+    "radii-not-a-number": ["sw-probe", "--radii", "abc"],
+    "radii-nan": ["sw-probe", "--radii", "nan,2"],
+    "radii-zero": ["sw-probe", "--radii", "0,2"],
+    "center-nan": ["sw-probe", "--radii", "2", "--center", "nan,0"],
+    "window-unordered": ["render", "--f", "z", "--window", "1,-1,-1,1",
+                         "--nx", "4", "--ny", "4"],
+    "window-nan": ["render", "--f", "z", "--window", "nan,1,-1,1",
+                   "--nx", "4", "--ny", "4"],
+    "rect-unordered": ["fixed-points", "--f", "z", "--rect", "1,-1,-1,1"],
+    "rects-unordered": ["surround-check", "--f", "z", "--rects", "1,-1,-1,1"],
+    "rects-not-a-number": ["surround-check", "--f", "z", "--rects", "abc,1,-1,1"],
+    "rects-three-numbers": ["surround-check", "--f", "z", "--rects", "-1,1,-1"],
+    "discs-not-a-number": ["surround-check", "--f", "z", "--discs", "abc"],
+    "discs-negative": ["surround-check", "--f", "z", "--discs", "-1,2"],
+    "z0-nan": ["orbit", "--f", "z", "--z0", "nan,0"],
+    "z0-inf": ["orbit", "--f", "z", "--z0", "0,inf"],
+}
+
+
+@pytest.mark.parametrize("argv", BAD_FLAG_VALUES.values(), ids=BAD_FLAG_VALUES)
+def test_bad_flag_values_exit_2_without_traceback(tmp_path, capsys, sin_archive,
+                                                  argv):
+    if argv[0] == "sw-probe":
+        argv = [*argv, "--input", sin_archive]
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err and "Traceback" not in err
+    assert not any(tmp_path.iterdir())  # no report, not even error.json
+
+
+def test_parser_is_built_once_and_keeps_no_state():
+    parser = cli._build_parser()
+    assert cli._build_parser() is parser
+    first = parser.parse_args(["orbit", "--f", "z", "--z0", "1,0",
+                               "--budget", "5", "--trace"])
+    again = parser.parse_args(["orbit", "--f", "z", "--z0", "-1,0"])
+    assert (first.budget, first.trace, first.z0) == (5, True, 1)
+    assert (again.budget, again.trace, again.z0) == (200, False, -1)
 
 
 def test_minmod(tmp_path):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from orbitplane.domains import Rect
-from orbitplane.errors import RadiusOutsideWindow
+from orbitplane.errors import InvalidRadius, RadiusOutsideWindow
 from orbitplane.expressions import parse
 from orbitplane.orbits import (_KINDS, OrbitPolicy, PointClass, _iterate,
                                class_of_verdict, iterate_orbit)
@@ -14,6 +14,7 @@ from orbitplane.raster import (GridSpec, boundary_pixels,
                                classification_from_array, classify_grid,
                                label_components, spiders_web_probe)
 from reference_orbit import reference_orbit
+from reference_probe import reference_per_radius
 
 PI = math.pi
 U = int(PointClass.UNBOUNDED_SUSPECT)
@@ -372,6 +373,114 @@ def test_spiders_web_radius_validation():
         spiders_web_probe(lab, complex(8, 8), [9.0])
     with pytest.raises(ValueError):
         spiders_web_probe(lab, complex(8, 8), [3.0, 2.0])
+
+
+def test_spiders_web_radius_floor_is_half_pixel_diagonal():
+    m = np.full((16, 8), U, dtype=np.uint8)
+    pc = classification_from_array(m, Rect(0.0, 4.0, 0.0, 6.0))
+    lab = label_components(pc, PointClass.UNBOUNDED_SUSPECT, 4)
+    floor = math.hypot(0.5, 0.375) / 2  # dx = 0.5, dy = 0.375
+    center = complex(2.0, 3.0)
+    for radii in ([floor], [0.5 * floor, 1.0], [-1.0, 1.0]):
+        with pytest.raises(InvalidRadius):
+            spiders_web_probe(lab, center, radii)
+    assert spiders_web_probe(lab, center, [np.nextafter(floor, 1.0)]).verdict
+
+
+def random_probe_cases(seed, count):
+    """Seeded masks with centers inside pixels, on edges and on corners."""
+    rng = np.random.default_rng(seed)
+    for k in range(count):
+        ny, nx = (int(n) for n in rng.integers(8, 21, size=2))
+        fill = rng.uniform(0.3, 0.75)
+        m = np.where(rng.random((ny, nx)) < fill, U, B).astype(np.uint8)
+        x = int(rng.integers(2, nx - 1)) + 0.0
+        y = int(rng.integers(2, ny - 1)) + 0.0
+        inside = rng.uniform(0.05, 0.95, size=2)
+        if k % 3 == 0:  # pixel interior
+            x, y = x + inside[0], y + inside[1]
+        elif k % 3 == 1:  # pixel edge, vertical or horizontal
+            if rng.random() < 0.5:
+                y += inside[1]
+            else:
+                x += inside[0]
+        floor = math.hypot(1.0, 1.0) / 2
+        reach = min(x, nx - x, y, ny - y)
+        radii = floor + (reach - floor) * np.sort(rng.uniform(0.001, 0.999, 2))
+        yield m, complex(x, y), [float(r) for r in radii]
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_spiders_web_matches_oracle_on_random_masks(connectivity):
+    answers = []
+    for m, center, radii in random_probe_cases(20 + connectivity, 400):
+        pc = classification_from_array(m)
+        lab = label_components(pc, PointClass.UNBOUNDED_SUSPECT, connectivity)
+        got = spiders_web_probe(lab, center, radii).per_radius
+        assert got == reference_per_radius(lab, center, radii), (m, center, radii)
+        answers += [s for _, s in got]
+    assert min(sum(answers), len(answers) - sum(answers)) >= 10
+
+
+def ring(n, gap):
+    """A 4-pixel-thick annulus about the center pixel, optionally slit."""
+    yy, xx = np.mgrid[0:n, 0:n]
+    c = n // 2
+    inside = (np.hypot(xx - c, yy - c) >= 6) & (np.hypot(xx - c, yy - c) <= 10)
+    if gap:
+        inside[c, c + 1:] = False  # a one-pixel-wide slit out to the edge
+    return inside
+
+
+def spiral(n, gap):
+    """A one-pixel square spiral with one-pixel corridors, closed at the end.
+
+    Its arms run 2, 2, 4, ..., 10, 10 pixels out from the center pixel.
+    One more arm runs back along the outside of the last arm in its
+    direction and turns onto that arm's end, closing a loop around the
+    center, unless ``gap`` leaves out the pixel that closes it.
+    """
+    c = n // 2
+    path = [(c, c)]
+    (dy, dx), length = (0, 1), 2
+    for arm in range(10):
+        for _ in range(length):
+            path.append((path[-1][0] + dy, path[-1][1] + dx))
+        dy, dx = dx, -dy  # turn left
+        length += 2 * (arm % 2)
+    y, x = path[-1]
+    closer = [(y + dy * step, x + dx * step) for step in range(1, length - 1)]
+    dy, dx = dx, -dy
+    closer.append((closer[-1][0] + dy, closer[-1][1] + dx))
+    if gap:
+        closer.pop()
+    inside = np.zeros((n, n), dtype=bool)
+    for y, x in path + closer:
+        inside[y, x] = True
+    return inside
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+@pytest.mark.parametrize("gap", [False, True], ids=["closed", "gap"])
+@pytest.mark.parametrize("shape", [ring, spiral])
+def test_spiders_web_rings_and_spirals(shape, gap, connectivity):
+    n = 31
+    m = np.where(shape(n, gap), U, B).astype(np.uint8)
+    lab = label_components(classification_from_array(m),
+                           PointClass.UNBOUNDED_SUSPECT, connectivity)
+    assert len(lab.census) == 1
+    center = complex(n // 2 + 0.5, n // 2 + 0.5)
+    got = spiders_web_probe(lab, center, [1.0, 3.0]).per_radius
+    assert got == reference_per_radius(lab, center, [1.0, 3.0])
+    assert got == ((1.0, not gap), (3.0, not gap))
+
+
+@pytest.mark.parametrize("connectivity", [4, 8])
+def test_spiders_web_matches_oracle_on_sin_grid(sin_400, connectivity):
+    lab = label_components(sin_400, PointClass.UNBOUNDED_SUSPECT, connectivity)
+    got = spiders_web_probe(lab, 0j, [2.0, 4.0]).per_radius
+    assert got == reference_per_radius(lab, 0j, [2.0, 4.0])
+    assert got == ((2.0, False), (4.0, False))
 
 
 def test_resolution_probe_reports_counts():
