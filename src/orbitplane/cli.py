@@ -27,8 +27,8 @@ import numpy as np
 from . import fileio
 from .curves import image_curve
 from .domains import Disc, Rect, boundary
-from .errors import (DegenerateDomain, ExprSyntaxError, NonEntireError,
-                     OrbitPlaneError)
+from .errors import (DegenerateDomain, ExprSyntaxError, InvalidRadius,
+                     NonEntireError, OrbitPlaneError, RadiusOutsideWindow)
 from .expressions import parse as parse_expr
 from .modulus import (derive_disc_sequence, iterate_min_modulus, max_modulus,
                       min_modulus)
@@ -67,6 +67,14 @@ def _window_flag(text: str) -> Rect:
         return Rect(x0, x1, y0, y1)
     except DegenerateDomain as exc:
         raise argparse.ArgumentTypeError(f"window {text!r}: {exc}") from exc
+
+
+def _positive_flag(text: str) -> float:
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"needs a positive finite number, got {text!r}")
+    return value
 
 
 def _radii_flag(text: str) -> list[float]:
@@ -132,7 +140,22 @@ def _domains_of(args) -> list:
     hi = args.n_hi if args.n_hi is not None else (6 if args.family == "ex51" else 3)
     if hi < lo:
         raise SystemExit2("--n-hi must be >= --n-lo")
-    return [builder(n) for n in range(lo, hi + 1)]
+    try:
+        return [builder(n) for n in range(lo, hi + 1)]
+    except ValueError as exc:
+        raise SystemExit2(f"bad domain: {exc}") from exc
+
+
+def _run_check(check, f, domains, args):
+    """``check`` on the parsed family; input it refuses is a usage error.
+
+    It refuses fewer than two domains, a boundary above the sample cap
+    and a function that maps a boundary to a single point.
+    """
+    try:
+        return check(f, domains, args.density, args.probe_grid)
+    except ValueError as exc:
+        raise SystemExit2(f"cannot check these domains: {exc}") from exc
 
 
 class SystemExit2(Exception):
@@ -185,7 +208,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="nested-domain surrounding conditions")
     p.add_argument("--f", required=True)
     _domain_args(p)
-    p.add_argument("--density", type=float, default=4.0)
+    p.add_argument("--density", type=_positive_flag, default=4.0)
     p.add_argument("--probe-grid", type=int, default=5)
     p.add_argument("--emit-curves", action="store_true",
                    help="also write boundary and image curve CSVs")
@@ -194,7 +217,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="strongly-polynomial-like conditions")
     p.add_argument("--f", required=True)
     _domain_args(p)
-    p.add_argument("--density", type=float, default=4.0)
+    p.add_argument("--density", type=_positive_flag, default=4.0)
     p.add_argument("--probe-grid", type=int, default=5)
 
     p = sub.add_parser("orbit", help="iterate one orbit")
@@ -340,7 +363,7 @@ def _cmd_disc_seq(args, outdir):
 def _cmd_surround_check(args, outdir):
     f = parse_expr(args.f)
     domains = _domains_of(args)
-    rep = check_nested_domains(f, domains, args.density, args.probe_grid)
+    rep = _run_check(check_nested_domains, f, domains, args)
     if args.emit_curves:
         for n, dom in enumerate(domains):
             curve = boundary(dom, args.density)
@@ -357,7 +380,7 @@ def _cmd_surround_check(args, outdir):
 def _cmd_spl_check(args, outdir):
     f = parse_expr(args.f)
     domains = _domains_of(args)
-    rep = check_spl(f, domains, args.density, args.probe_grid)
+    rep = _run_check(check_spl, f, domains, args)
     report = {"kind": "spl_check", "function": args.f,
               "domains": [fileio.encode_domain(d) for d in domains],
               "density": args.density, "probe_grid": args.probe_grid,
@@ -467,7 +490,10 @@ def _cmd_components(args, outdir):
 
 def _cmd_sw_probe(args, outdir):
     lab = _label_input(args, outdir)
-    rep = spiders_web_probe(lab, args.center, args.radii)
+    try:
+        rep = spiders_web_probe(lab, args.center, args.radii)
+    except (InvalidRadius, RadiusOutsideWindow) as exc:
+        raise SystemExit2(f"bad --radii: {exc}") from exc
     report = {
         "kind": "sw_probe", "input": args.input, "target": args.target.name,
         "connectivity": args.connectivity,
@@ -522,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ExprSyntaxError, NonEntireError) as exc:
         report = {"kind": "error", "error_type": type(exc).__name__,
                   "message": str(exc)}
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(fileio.report_json(report), end="")
         return 2
     except SystemExit2 as exc:
         print(json.dumps({"kind": "error", "error_type": "usage",
@@ -531,12 +557,14 @@ def main(argv: list[str] | None = None) -> int:
     except OrbitPlaneError as exc:
         report = {"kind": "error", "error_type": type(exc).__name__,
                   "message": str(exc)}
-        fileio.write_json_report(os.path.join(outdir, "error.json"), report)
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(fileio.write_json_report(os.path.join(outdir, "error.json"),
+                                       report), end="")
         return 1
-    if fname is not None:
-        fileio.write_json_report(os.path.join(outdir, fname), report)
-    print(json.dumps(report, indent=2, sort_keys=True))
+    if fname is None:
+        text = fileio.report_json(report)
+    else:
+        text = fileio.write_json_report(os.path.join(outdir, fname), report)
+    print(text, end="")
     return code
 
 

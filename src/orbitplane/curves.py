@@ -12,6 +12,14 @@ All refinement is :func:`refine`: it bisects the segments a predicate
 flags and says why it stopped (``converged``, ``budget``, ``rounds`` or
 ``stalled``).  The image ``max_step`` test, the winding aliasing test and
 the surrounding clearance test are its predicates.
+
+Winding numbers come from one kernel, :func:`winding_numbers`, for all
+probes of a call.  A segment aliases a probe when the probe lies inside
+the segment's Thales disc (it sees the segment under an angle above
+pi/2); only segments whose disc reaches the probes' bounding box are
+tested.  A probe that no segment aliases and no sample touches gets the
+signed crossing count of the polyline, with the straddling segments
+found once per lattice row; any other probe is refined on its own first.
 """
 
 from __future__ import annotations
@@ -24,14 +32,15 @@ import numpy as np
 from .errors import AliasingUnresolved, CurveTooClose, RefinementBudgetExceeded
 from .expressions import FunctionExpression, evaluate
 
-__all__ = ["SampledCurve", "image_curve", "refine", "winding_number"]
+__all__ = ["SampledCurve", "image_curve", "refine", "winding_number",
+           "winding_numbers"]
 
-# A single argument increment above this is treated as aliasing and the
-# segment is refined before the winding sum is trusted.
-_ALIAS_THRESHOLD = np.pi / 2
+# Growth of a segment's Thales disc, relative to the magnitude of the
+# coordinates, that covers the rounding of the winding kernel's filter.
+_DISC_RTOL = 1e-12
 
-# Residual of the winding sum after rounding must stay below this.
-_ROUND_RESIDUAL = 0.05
+# Most elements in one segment-by-probe block of the winding kernel.
+_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -149,6 +158,8 @@ def refine(curve: SampledCurve, bad: Callable[[SampledCurve], np.ndarray],
     ``"budget"``     the next round would pass ``max_points`` points;
     ``"rounds"``     ``max_rounds`` rounds have run;
     ``"stalled"``    a round added no new point (its result is dropped).
+
+    The last call of ``bad`` is always on the returned curve.
     """
     if not curve.closed:
         raise ValueError("refine requires a closed curve")
@@ -212,42 +223,128 @@ def image_curve(f: FunctionExpression, curve: SampledCurve,
     return result
 
 
+def _hits(curve: SampledCurve, probes: np.ndarray, min_clearance: float
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The aliasing and clearance tests of every probe against the curve.
+
+    Returns ``(close, segments, owners)``: ``close[k]`` says a sample lies
+    within ``min_clearance`` of probe ``k``, and segment ``segments[j]``
+    aliases probe ``owners[j]``.  A segment aliases a probe w inside its
+    Thales disc (the disc on the segment as diameter), where
+    ``Re((p_i - w) * conj(p_{i+1} - w)) < 0`` and w sees the segment
+    under an angle above pi/2.  Segments come in increasing order for
+    each probe.
+
+    Only segments whose disc meets the probes' bounding box, once grown
+    by twice the clearance and by ``_DISC_RTOL`` of the coordinates'
+    magnitude, are tested: a sample within the clearance of a probe puts
+    the probe that near the disc, and the growth covers the rounding of
+    this filter, so it drops no segment the tests would flag.
+    """
+    starts, ends = curve.segment_starts(), curve.segment_ends()
+    mid = (starts + ends) / 2
+    radius = np.abs(ends - starts) / 2
+    x0, x1 = probes.real.min(), probes.real.max()
+    y0, y1 = probes.imag.min(), probes.imag.max()
+    dx = np.maximum(np.maximum(x0 - mid.real, mid.real - x1), 0.0)
+    dy = np.maximum(np.maximum(y0 - mid.imag, mid.imag - y1), 0.0)
+    scale = (np.abs(mid.real) + np.abs(mid.imag) + radius
+             + max(abs(x0), abs(x1), abs(y0), abs(y1)))
+    reach = radius + 2 * min_clearance + _DISC_RTOL * scale
+    near = np.nonzero(np.hypot(dx, dy) <= reach)[0]
+
+    close = np.zeros(probes.size, dtype=bool)
+    segments, owners = [near[:0]], [near[:0]]
+    step = max(1, _BLOCK // probes.size)
+    for lo in range(0, near.size, step):
+        block = near[lo:lo + step]
+        rel_start = starts[block, None] - probes
+        rel_end = ends[block, None] - probes
+        close |= np.any(np.abs(rel_start) < min_clearance, axis=0)
+        row, col = np.nonzero((rel_start * np.conj(rel_end)).real < 0)
+        segments.append(block[row])
+        owners.append(col)
+    return close, np.concatenate(segments), np.concatenate(owners)
+
+
+def _crossings(curve: SampledCurve, probes: np.ndarray) -> np.ndarray:
+    """Winding number of the sampled polyline about each probe.
+
+    A signed crossing count (Hormann & Agathos, "The point in polygon
+    problem for arbitrary polygons", 2001): a segment running upward
+    past the probe's ordinate, with the probe on its left, counts +1; one
+    running downward, with the probe on its right, counts -1.  A segment
+    counts at its lower end but not its upper one.  Probes sharing an
+    ordinate (a lattice row) share the search for straddling segments.
+    Exact for probes that no segment aliases and no sample touches.
+    """
+    starts, ends = curve.segment_starts(), curve.segment_ends()
+    ordinates, row_of = np.unique(probes.imag, return_inverse=True)
+    wn = np.zeros(probes.size, dtype=np.int64)
+    for row, y in enumerate(ordinates):
+        upward = (starts.imag <= y) & (ends.imag > y)
+        downward = (ends.imag <= y) & (starts.imag > y)
+        straddling = np.nonzero(upward | downward)[0]
+        members = np.nonzero(row_of == row)[0]
+        w = probes[members]
+        step = max(1, _BLOCK // members.size)
+        for lo in range(0, straddling.size, step):
+            block = straddling[lo:lo + step]
+            rel_start = starts[block, None] - w
+            rel_end = ends[block, None] - w
+            cross = rel_start.real * rel_end.imag - rel_start.imag * rel_end.real
+            up = upward[block, None]
+            wn[members] += (np.count_nonzero(up & (cross > 0), axis=0)
+                            - np.count_nonzero(~up & (cross < 0), axis=0))
+    return wn
+
+
+def winding_numbers(curve: SampledCurve, probes,
+                    min_clearance: float = 1e-9,
+                    max_points: int = 200_000) -> np.ndarray:
+    """Winding numbers of a closed curve about each of ``probes``.
+
+    A probe is clean when no sample lies within ``min_clearance`` of it
+    and no segment subtends an angle above pi/2 at it; its winding
+    number is then the signed crossing count of the sampled polyline.
+    Every other probe, one at a time in probe order, has the segments
+    that alias it bisected by :func:`refine` until none does, and gets
+    the crossing count of the refined curve.  Raises
+    :class:`CurveTooClose` at the first probe a sample comes within
+    ``min_clearance`` of, with the winding numbers of the probes before
+    it attached as ``partial``, and :class:`AliasingUnresolved` if
+    refinement cannot settle within the point budget or stops adding
+    points.
+    """
+    if not curve.closed:
+        raise ValueError("winding numbers require a closed curve")
+    probes = np.atleast_1d(np.asarray(probes, dtype=np.complex128))
+    flagged, _, owners = _hits(curve, probes, min_clearance)
+    flagged[owners] = True
+    wn = _crossings(curve, probes)
+    for k in np.nonzero(flagged)[0]:
+        w = probes[k:k + 1]
+
+        def aliased(c: SampledCurve) -> np.ndarray:
+            close, segments, _ = _hits(c, w, min_clearance)
+            if close[0]:
+                raise CurveTooClose(
+                    f"curve sample within {min_clearance} of probe {complex(w[0])}",
+                    partial=wn[:k].copy())
+            return segments
+
+        work, stop = refine(curve, aliased, max_points)
+        if stop != "converged":
+            raise AliasingUnresolved(
+                f"aliasing persists ({stop}) at {len(work)} points "
+                f"(budget {max_points})")
+        wn[k] = _crossings(work, w)[0]
+    return wn
+
+
 def winding_number(curve: SampledCurve, w: complex,
                    min_clearance: float = 1e-9,
                    max_points: int = 200_000) -> int:
-    """Winding number of a closed curve about ``w``.
-
-    Argument increments between consecutive samples are taken in
-    (-pi, pi].  Any increment above pi/2 is treated as aliasing and the
-    segment is bisected by :func:`refine` until all increments are
-    small; the rounded sum is then exact for the sampled path.  Raises
-    :class:`CurveTooClose` if any sample comes within ``min_clearance``
-    of ``w``, and :class:`AliasingUnresolved` if refinement cannot settle
-    within the point budget or stops adding points.
-    """
-    if not curve.closed:
-        raise ValueError("winding_number requires a closed curve")
-    inc = None
-
-    def aliased(c: SampledCurve) -> np.ndarray:
-        nonlocal inc
-        rel = c.points - w
-        if np.min(np.abs(rel)) < min_clearance:
-            raise CurveTooClose(
-                f"curve sample within {min_clearance} of probe {w}")
-        angles = np.angle(rel)
-        inc = np.diff(np.concatenate([angles, angles[:1]]))
-        inc = (inc + np.pi) % (2 * np.pi) - np.pi  # wrap to [-pi, pi)
-        return np.nonzero(np.abs(inc) > _ALIAS_THRESHOLD)[0]
-
-    work, stop = refine(curve, aliased, max_points)
-    if stop != "converged":
-        raise AliasingUnresolved(
-            f"aliasing persists ({stop}) at {len(work)} points "
-            f"(budget {max_points})")
-    total = float(np.sum(inc)) / (2 * np.pi)
-    wn = int(round(total))
-    if abs(total - wn) >= _ROUND_RESIDUAL:
-        raise AliasingUnresolved(
-            f"winding residual {abs(total - wn):.3f} after refinement")
-    return wn
+    """Winding number of a closed curve about ``w``: :func:`winding_numbers`
+    on a batch of one probe."""
+    return int(winding_numbers(curve, w, min_clearance, max_points)[0])

@@ -39,6 +39,13 @@ __all__ = [
     "interior_point",
 ]
 
+# Rounding allowance, relative to the coordinates' magnitude, by which
+# curve_distance lowers its per-segment distance bounds.
+_DISTANCE_RTOL = 1e-12
+
+# Most samples boundary takes: the surround checks' point budget.
+_MAX_SAMPLES = 200_000
+
 
 @dataclass(frozen=True)
 class Rect:
@@ -381,18 +388,33 @@ def curve_distance(curve: SampledCurve, domain: DomainSpec) -> float:
 
     Zero when a curve sample lies in the closed domain.
     """
-    a, b = curve.segment_starts(), curve.segment_ends()
-    if contains(domain, curve.points, closed=True).any():
+    return _curve_distance(curve, domain, clearance(domain, curve.points))
+
+
+def _curve_distance(curve: SampledCurve, domain: DomainSpec,
+                    c: np.ndarray) -> float:
+    """:func:`curve_distance` given the clearances ``c`` of the samples."""
+    # A sample has clearance <= 0 exactly when it lies in the closed
+    # domain: outside it, no distance to an axis-parallel edge rounds to 0.
+    if np.any(c <= 0):
         return 0.0
+    a, b = curve.segment_starts(), curve.segment_ends()
     if isinstance(domain, Disc):
         center = np.array([domain.center])
         d = _point_segment_distance(center, a, b)[0] - domain.radius
         return float(max(0.0, d))
-    # A segment could cross the domain without its endpoints being inside;
-    # crossing the boundary polygon yields distance zero here, and a
-    # segment entirely inside is excluded by the endpoint test.
+    # Every point of a segment lies within half its length of an endpoint,
+    # so segment i keeps at least min(c_i, c_i+1) - |b_i - a_i|/2 from the
+    # domain.  Only segments whose bound, rounded down, is at most a
+    # distance some sample achieves can hold the minimum.  A segment that
+    # crosses the domain has a bound <= 0 and stays; one entirely inside
+    # is excluded by the sample test above.
     verts = domain.vertices()
-    return float(np.min(_segment_segment_distance(a, b, verts,
+    lower = np.minimum(c, np.roll(c, -1)) - np.abs(b - a) / 2
+    slack = _DISTANCE_RTOL * (np.max(np.abs(curve.points))
+                              + np.max(np.abs(verts)))
+    rows = np.nonzero(lower - slack <= np.min(c))[0]
+    return float(np.min(_segment_segment_distance(a[rows], b[rows], verts,
                                                   np.roll(verts, -1))))
 
 
@@ -411,7 +433,7 @@ def boundary(domain: DomainSpec, density: float = 10.0) -> SampledCurve:
         raise ValueError("density must be positive and finite")
     if isinstance(domain, Disc):
         c, r = domain.center, domain.radius
-        n = max(16, math.ceil(2 * math.pi * r * density))
+        n = max(16, _sample_count(2 * math.pi * r * density))
         t = np.arange(n) / n
 
         def source(u):
@@ -432,9 +454,16 @@ def boundary(domain: DomainSpec, density: float = 10.0) -> SampledCurve:
         local = (u - knots[k]) / (knots[k + 1] - knots[k])
         return verts[k] + local * edges[k]
 
-    t_list = []
-    for k in range(verts.size):
-        pieces = max(1, math.ceil(lengths[k] * density))
-        t_list.append(knots[k] + (knots[k + 1] - knots[k]) * np.arange(pieces) / pieces)
-    t = np.concatenate(t_list)
+    pieces = [max(1, _sample_count(length * density)) for length in lengths]
+    _sample_count(sum(pieces))  # the whole boundary, not just each edge
+    t = np.concatenate([knots[k] + (knots[k + 1] - knots[k]) * np.arange(n) / n
+                        for k, n in enumerate(pieces)])
     return SampledCurve(source(t), True, t, source)
+
+
+def _sample_count(exact: float) -> int:
+    """``ceil(exact)``, refused above the sample cap before any allocation."""
+    if not exact <= _MAX_SAMPLES:
+        raise ValueError(f"boundary sampling needs {exact:.6g} points, "
+                         f"more than the cap of {_MAX_SAMPLES}")
+    return math.ceil(exact)

@@ -47,12 +47,20 @@ class DegenerateDomain(OrbitPlaneError):
 
 class CurveTooClose(OrbitPlaneError):
     """A winding-number probe point lies within the clearance distance
-    of a curve sample."""
+    of a curve sample.
+
+    The winding numbers of the probes before it, in probe order, are
+    attached as ``partial``.
+    """
+
+    def __init__(self, message: str, partial=None):
+        self.partial = partial
+        super().__init__(message)
 
 
 class AliasingUnresolved(OrbitPlaneError):
-    """Local refinement could not reduce all argument increments below
-    the aliasing threshold within the point budget."""
+    """Local refinement could not bring every segment under an angle of
+    at most pi/2 from the probe within the point budget."""
 
 
 class RefinementBudgetExceeded(OrbitPlaneError):

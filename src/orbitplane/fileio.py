@@ -28,6 +28,7 @@ __all__ = [
     "fmt",
     "atomic_write_bytes",
     "atomic_write_text",
+    "report_json",
     "write_json_report",
     "write_csv",
     "curves_csv",
@@ -142,8 +143,16 @@ def atomic_write_text(path, text: str) -> None:
     atomic_write_bytes(path, text.encode("utf-8"))
 
 
-def write_json_report(path, report: dict) -> None:
-    atomic_write_text(path, json.dumps(report, indent=2, sort_keys=True) + "\n")
+def report_json(report: dict) -> str:
+    """The text of a JSON report, as written to its file and to stdout."""
+    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def write_json_report(path, report: dict) -> str:
+    """Write ``report`` as JSON to ``path`` and return the text written."""
+    text = report_json(report)
+    atomic_write_text(path, text)
+    return text
 
 
 def write_csv(path, header: list[str], rows: Iterable[Iterable]) -> None:

@@ -7,6 +7,12 @@ winding number about every interior probe point is nonzero (and the same
 for all probes).  Both ingredients are finite evidence, not proof, and
 every report says so.
 
+The sample clearances that the last chord-refinement round computes are
+reused: they give the deepest penetration and bound which segments can
+hold the least distance to the domain.  The windings of all probes come
+from one call of :func:`curves.winding_numbers`, a crossing count per
+lattice row.
+
 Two distance regimes are needed in practice.  The nested-domain check
 requires the image curve merely to stay out of the open target domain,
 with a small touch tolerance so that exact boundary-to-boundary maps
@@ -21,10 +27,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SampledCurve, image_curve, refine, winding_number
-from .domains import (DomainSpec, boundary, clearance, contains,
-                      contains_closure, curve_distance, diameter,
-                      inradius_about, interior_point)
+from .curves import SampledCurve, image_curve, refine, winding_numbers
+from .domains import (DomainSpec, _curve_distance, boundary, clearance,
+                      contains, contains_closure, diameter, inradius_about,
+                      interior_point)
 from .errors import CurveTooClose
 from .expressions import FunctionExpression
 
@@ -100,20 +106,24 @@ def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
     if not curve.closed:
         raise ValueError("surrounds requires a closed curve")
 
-    def too_long(c: SampledCurve) -> np.ndarray:
+    c = None
+
+    def too_long(work: SampledCurve) -> np.ndarray:
         # Chords no longer than their endpoints' clearance cannot cross the
         # domain unnoticed.  A curve that truly touches it stops shrinking
         # here, and the distance test below reports zero.
-        d = np.abs(clearance(domain, c.points))
-        seglen = np.abs(c.segment_ends() - c.segment_starts())
+        nonlocal c
+        c = clearance(domain, work.points)
+        d = np.abs(c)
+        seglen = np.abs(work.segment_ends() - work.segment_starts())
         return np.nonzero(
             seglen > 0.9 * np.maximum(np.maximum(d, np.roll(d, -1)), 1e-300))[0]
 
+    # refine calls too_long last on the curve it returns, so ``c`` holds
+    # that curve's clearances.
     work, _ = refine(curve, too_long, max_points, _REFINE_ROUNDS)
-
-    c = clearance(domain, work.points)
     max_penetration = float(max(0.0, -np.min(c)))
-    min_distance = curve_distance(work, domain)
+    min_distance = _curve_distance(work, domain, c)
 
     if touch_tolerance is None:
         geom_ok = min_distance > min_distance_required
@@ -121,22 +131,16 @@ def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
         geom_ok = max_penetration <= touch_tolerance
 
     probes = _probe_points(domain, probe_grid)
-    windings: list[tuple[complex, int]] = []
-    windable = True
-    for w in probes:
-        try:
-            wn = winding_number(work, complex(w),
-                                min_clearance=min(1e-9, max(min_distance / 2, 1e-300)),
-                                max_points=max_points)
-        except CurveTooClose:
-            windable = False
-            break
-        windings.append((complex(w), wn))
-    if windable and windings:
-        values = {wn for _, wn in windings}
-        wind_ok = (len(values) == 1) and (0 not in values)
-    else:
-        wind_ok = False
+    try:
+        values = winding_numbers(
+            work, probes, min_clearance=min(1e-9, max(min_distance / 2, 1e-300)),
+            max_points=max_points)
+        windable = True
+    except CurveTooClose as exc:
+        values, windable = exc.partial, False
+    windings = [(complex(w), int(wn)) for w, wn in zip(probes, values)]
+    seen = {wn for _, wn in windings}
+    wind_ok = windable and len(seen) == 1 and 0 not in seen
 
     return SurroundReport(
         verdict=bool(geom_ok and wind_ok),

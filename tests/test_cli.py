@@ -90,6 +90,26 @@ BAD_FLAG_VALUES = {
     "discs-negative": ["surround-check", "--f", "z", "--discs", "-1,2"],
     "z0-nan": ["orbit", "--f", "z", "--z0", "nan,0"],
     "z0-inf": ["orbit", "--f", "z", "--z0", "0,inf"],
+    "radii-below-pixel-floor": ["sw-probe", "--radii", "0.1"],
+    "radii-outside-window": ["sw-probe", "--radii", "6"],
+    "surround-density-zero": ["surround-check", "--f", "z", "--discs", "1,2",
+                              "--density", "0"],
+    "surround-density-nan": ["surround-check", "--f", "z", "--discs", "1,2",
+                             "--density", "nan"],
+    "surround-density-inf": ["surround-check", "--f", "z", "--discs", "1,2",
+                             "--density", "inf"],
+    "spl-density-zero": ["spl-check", "--f", "z", "--discs", "1,2",
+                         "--density", "0"],
+    "spl-density-nan": ["spl-check", "--f", "z", "--discs", "1,2",
+                        "--density", "nan"],
+    "spl-density-inf": ["spl-check", "--f", "z", "--discs", "1,2",
+                        "--density", "inf"],
+    "spl-one-domain": ["spl-check", "--f", "z", "--discs", "1"],
+    "family-negative-index": ["surround-check", "--f", "z", "--family", "ex51",
+                              "--n-lo", "-5", "--n-hi", "-4"],
+    "discs-huge": ["surround-check", "--f", "z", "--discs", "1e308,1e308"],
+    "spl-discs-huge": ["spl-check", "--f", "z", "--discs", "1e308,1e308"],
+    "constant-image": ["surround-check", "--f", "1", "--discs", "1,2"],
 }
 
 
@@ -162,6 +182,16 @@ def test_surround_check_failure_exit(tmp_path):
                "--discs", "1,2,3", "--density", "8") == 1
     rep = load_and_validate(tmp_path, "surround_check.json")
     assert rep["condition_a"] is False
+
+
+@pytest.mark.parametrize("argv, name", [
+    (["surround-check", "--f", "sin(z)", "--discs", "1,2,3"], "surround_check.json"),
+    (["minmod", "--f", "z", "--r", "-1"], "error.json"),
+    (["scenario", "ex52"], "scenario_ex52.json"),
+], ids=["report", "error", "scenario"])
+def test_stdout_is_the_report_file(tmp_path, capsys, argv, name):
+    run(tmp_path, *argv)
+    assert capsys.readouterr().out == (tmp_path / name).read_text(encoding="utf-8")
 
 
 def test_spl_check_rects(tmp_path):

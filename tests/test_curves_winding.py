@@ -204,6 +204,28 @@ def test_refine_stalled():
     assert curve is start
 
 
+@pytest.mark.parametrize("start, bad, max_points, max_rounds, stop", [
+    (unit_circle(4), lambda c: np.nonzero(
+        np.abs(c.segment_ends() - c.segment_starts()) > 0.1)[0], 10_000, None,
+     "converged"),
+    (unit_circle(4), every_segment, 100, None, "budget"),
+    (unit_circle(4), every_segment, 10_000, 3, "rounds"),
+    (stepped_triangle(), every_segment, 10_000, None, "stalled"),
+    (SampledCurve(TRIANGLE, True), every_segment, 100, None, "budget"),
+], ids=["converged", "budget", "rounds", "stalled", "bare-polyline"])
+def test_refine_calls_bad_last_on_the_returned_curve(start, bad, max_points,
+                                                     max_rounds, stop):
+    seen = []
+
+    def spy(c):
+        seen.append(c)
+        return bad(c)
+
+    curve, why = refine(start, spy, max_points, max_rounds)
+    assert why == stop
+    assert seen[-1] is curve
+
+
 def test_refine_requires_closed_curve():
     with pytest.raises(ValueError):
         refine(SampledCurve(TRIANGLE, False), every_segment, 100)

@@ -80,6 +80,15 @@ def test_boundary_rect_vertices():
     assert set(np.round(curve.points, 12)) == {0j, 1 + 0j, 1 + 1j, 1j}
 
 
+def test_boundary_refuses_more_samples_than_the_cap():
+    with pytest.raises(ValueError, match="cap"):
+        boundary(Disc(0j, 1e308), 4.0)
+    # every edge is under the cap of 200,000 samples, the whole loop is not
+    with pytest.raises(ValueError, match="cap"):
+        boundary(Rect(0, 100_000, 0, 1), 1.0)
+    assert len(boundary(Rect(0, 99_999, 0, 1), 1.0)) == 200_000
+
+
 def test_boundary_source_parameterization():
     dom = two_rect_domain(1)
     curve = boundary(dom, 2.0)
