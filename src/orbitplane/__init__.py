@@ -17,7 +17,7 @@ from .errors import (AliasingUnresolved, CurveTooClose, DegenerateDomain,
                      OrbitPlaneError, RadiusOutsideWindow,
                      RefinementBudgetExceeded)
 from .expressions import (FunctionExpression, evaluate,
-                          evaluate_with_overflow, parse, register_primitive)
+                          evaluate_with_overflow, parse)
 from .modulus import (DIVERGES, NOT_DIVERGING, UNDECIDED, DiscSequence,
                       MinModIterationReport, RadialExtremum,
                       derive_disc_sequence, iterate_min_modulus, max_modulus,
@@ -52,7 +52,6 @@ __all__ = [
     "evaluate_with_overflow", "ex51_domain", "ex52_domain",
     "find_fixed_points", "image_curve", "inradius_about", "interior_point",
     "iterate_min_modulus", "iterate_orbit", "label_components",
-    "max_modulus", "min_modulus", "parse", "register_primitive",
-    "run_scenario", "spiders_web_probe", "surrounds", "winding_number",
-    "write_ppm",
+    "max_modulus", "min_modulus", "parse", "run_scenario",
+    "spiders_web_probe", "surrounds", "winding_number", "write_ppm",
 ]

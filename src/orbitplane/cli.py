@@ -77,6 +77,18 @@ def _positive_flag(text: str) -> float:
     return value
 
 
+def _int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(
+                f"needs an integer >= {low}, got {text!r}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its own messages
+    return parse
+
+
 def _radii_flag(text: str) -> list[float]:
     radii = [float(p) for p in text.split(",")]
     if not (all(0 < r < math.inf for r in radii)
@@ -97,13 +109,13 @@ def _class_flag(text: str) -> PointClass:
 
 
 def _policy_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--budget", type=int, default=200,
+    p.add_argument("--budget", type=_int_at_least(1), default=200,
                    help="max iterations per orbit (default 200)")
-    p.add_argument("--escape-radius", type=float, default=1e6,
+    p.add_argument("--escape-radius", type=_positive_flag, default=1e6,
                    help="modulus treated as escaped (default 1e6)")
-    p.add_argument("--cycle-tol", type=float, default=1e-9,
+    p.add_argument("--cycle-tol", type=_positive_flag, default=1e-9,
                    help="near-return tolerance for cycle locking (default 1e-9)")
-    p.add_argument("--cycle-window", type=int, default=32,
+    p.add_argument("--cycle-window", type=_int_at_least(1), default=32,
                    help="history window for near-return scans (default 32)")
 
 
@@ -146,16 +158,18 @@ def _domains_of(args) -> list:
         raise SystemExit2(f"bad domain: {exc}") from exc
 
 
-def _run_check(check, f, domains, args):
-    """``check`` on the parsed family; input it refuses is a usage error.
+def _refusable(what: str, call, *call_args):
+    """``call(*call_args)``; input it refuses is a usage error.
 
-    It refuses fewer than two domains, a boundary above the sample cap
-    and a function that maps a boundary to a single point.
+    Flags that need a value of their own are checked at parse time; the
+    library refuses what only several flags together make wrong, such as
+    a --blow-up not above --r, fewer than two domains, a boundary or probe
+    lattice above the sample cap, or a boundary mapped to a single point.
     """
     try:
-        return check(f, domains, args.density, args.probe_grid)
+        return call(*call_args)
     except ValueError as exc:
-        raise SystemExit2(f"cannot check these domains: {exc}") from exc
+        raise SystemExit2(f"{what}: {exc}") from exc
 
 
 class SystemExit2(Exception):
@@ -185,31 +199,31 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("minmod", help="min/max modulus on one circle")
     p.add_argument("--f", required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--n-coarse", type=int, default=4096)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--r", type=_positive_flag, required=True)
+    p.add_argument("--n-coarse", type=_int_at_least(64), default=4096)
+    p.add_argument("--tol", type=_positive_flag, default=1e-10)
 
     p = sub.add_parser("minmod-iterate", help="iterate r -> min modulus")
     p.add_argument("--f", required=True)
-    p.add_argument("--r", dest="r0", type=float, required=True)
-    p.add_argument("--n-max", type=int, default=50)
-    p.add_argument("--blow-up", type=float, default=1e50)
-    p.add_argument("--n-coarse", type=int, default=4096)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--r", dest="r0", type=_positive_flag, required=True)
+    p.add_argument("--n-max", type=_int_at_least(1), default=50)
+    p.add_argument("--blow-up", type=_positive_flag, default=1e50)
+    p.add_argument("--n-coarse", type=_int_at_least(64), default=4096)
+    p.add_argument("--tol", type=_positive_flag, default=1e-10)
 
     p = sub.add_parser("disc-seq", help="disc sequence from iterated min modulus")
     p.add_argument("--f", required=True)
-    p.add_argument("--r", dest="r0", type=float, required=True)
-    p.add_argument("--count", type=int, default=4)
-    p.add_argument("--n-coarse", type=int, default=4096)
-    p.add_argument("--tol", type=float, default=1e-10)
+    p.add_argument("--r", dest="r0", type=_positive_flag, required=True)
+    p.add_argument("--count", type=_int_at_least(1), default=4)
+    p.add_argument("--n-coarse", type=_int_at_least(64), default=4096)
+    p.add_argument("--tol", type=_positive_flag, default=1e-10)
 
     p = sub.add_parser("surround-check",
                        help="nested-domain surrounding conditions")
     p.add_argument("--f", required=True)
     _domain_args(p)
     p.add_argument("--density", type=_positive_flag, default=4.0)
-    p.add_argument("--probe-grid", type=int, default=5)
+    p.add_argument("--probe-grid", type=_int_at_least(1), default=5)
     p.add_argument("--emit-curves", action="store_true",
                    help="also write boundary and image curve CSVs")
 
@@ -218,7 +232,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     _domain_args(p)
     p.add_argument("--density", type=_positive_flag, default=4.0)
-    p.add_argument("--probe-grid", type=int, default=5)
+    p.add_argument("--probe-grid", type=_int_at_least(1), default=5)
 
     p = sub.add_parser("orbit", help="iterate one orbit")
     p.add_argument("--f", required=True)
@@ -232,16 +246,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--f", required=True)
     p.add_argument("--rect", type=_window_flag, required=True,
                    help="search region as x0,x1,y0,y1")
-    p.add_argument("--seeds", type=int, default=24)
-    p.add_argument("--newton-tol", type=float, default=1e-10)
-    p.add_argument("--max-newton", type=int, default=60)
+    p.add_argument("--seeds", type=_int_at_least(1), default=24)
+    p.add_argument("--newton-tol", type=_positive_flag, default=1e-10)
+    p.add_argument("--max-newton", type=_int_at_least(0), default=60)
 
     p = sub.add_parser("render", help="classify a pixel grid")
     p.add_argument("--f", required=True)
     p.add_argument("--window", type=_window_flag, required=True,
                    help="x0,x1,y0,y1")
-    p.add_argument("--nx", type=int, required=True)
-    p.add_argument("--ny", type=int, required=True)
+    p.add_argument("--nx", type=_int_at_least(2), required=True)
+    p.add_argument("--ny", type=_int_at_least(2), required=True)
     _policy_args(p)
     p.add_argument("--overlay-boundary", type=_class_flag, default=None,
                    metavar="CLASS", help="draw this class's boundary in red")
@@ -305,7 +319,8 @@ def _expand_config(argv: list[str]) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies; each returns (exit_code, report_dict, fname)
+# Subcommand bodies; each returns (exit_code, report_dict, fname), with
+# report_dict None when the command wrote fname itself
 # ---------------------------------------------------------------------------
 
 def _cmd_parse_check(args, outdir):
@@ -334,8 +349,8 @@ def _cmd_minmod(args, outdir):
 
 def _cmd_minmod_iterate(args, outdir):
     f = parse_expr(args.f)
-    rep = iterate_min_modulus(f, args.r0, args.n_max, args.blow_up,
-                              args.n_coarse, args.tol)
+    rep = _refusable("cannot iterate", iterate_min_modulus, f, args.r0,
+                     args.n_max, args.blow_up, args.n_coarse, args.tol)
     fileio.sequence_csv(os.path.join(outdir, "minmod_iterate.csv"),
                         rep.sequence)
     report = {"kind": "minmod_iterate", "function": args.f, "r0": args.r0,
@@ -349,7 +364,8 @@ def _cmd_minmod_iterate(args, outdir):
 
 def _cmd_disc_seq(args, outdir):
     f = parse_expr(args.f)
-    seq = derive_disc_sequence(f, args.r0, args.count, args.n_coarse, args.tol)
+    seq = _refusable("cannot iterate", derive_disc_sequence, f, args.r0,
+                     args.count, args.n_coarse, args.tol)
     fileio.sequence_csv(os.path.join(outdir, "disc_seq.csv"),
                         [d.radius for d in seq.discs])
     report = {"kind": "disc_seq", "function": args.f, "r0": args.r0,
@@ -363,7 +379,8 @@ def _cmd_disc_seq(args, outdir):
 def _cmd_surround_check(args, outdir):
     f = parse_expr(args.f)
     domains = _domains_of(args)
-    rep = _run_check(check_nested_domains, f, domains, args)
+    rep = _refusable("cannot check these domains", check_nested_domains, f,
+                     domains, args.density, args.probe_grid)
     if args.emit_curves:
         for n, dom in enumerate(domains):
             curve = boundary(dom, args.density)
@@ -380,7 +397,8 @@ def _cmd_surround_check(args, outdir):
 def _cmd_spl_check(args, outdir):
     f = parse_expr(args.f)
     domains = _domains_of(args)
-    rep = _run_check(check_spl, f, domains, args)
+    rep = _refusable("cannot check these domains", check_spl, f, domains,
+                     args.density, args.probe_grid)
     report = {"kind": "spl_check", "function": args.f,
               "domains": [fileio.encode_domain(d) for d in domains],
               "density": args.density, "probe_grid": args.probe_grid,
@@ -435,7 +453,8 @@ def _cmd_fixed_points(args, outdir):
 def _cmd_render(args, outdir):
     f = parse_expr(args.f)
     policy = _policy_of(args)
-    grid = GridSpec(args.window, args.nx, args.ny)
+    grid = _refusable("cannot render this window", GridSpec, args.window,
+                      args.nx, args.ny)
     pc = classify_grid(f, grid, policy)
     overlay = None
     if args.overlay_boundary is not None:
@@ -508,7 +527,8 @@ def _cmd_sw_probe(args, outdir):
 
 def _cmd_scenario(args, outdir):
     report = run_scenario(args.name, outdir)
-    return (0 if report["passed"] else 1), report, None  # already written
+    # run_scenario wrote the report; main prints that file as it stands
+    return (0 if report["passed"] else 1), None, f"scenario_{args.name}.json"
 
 
 _COMMANDS = {
@@ -560,10 +580,12 @@ def main(argv: list[str] | None = None) -> int:
         print(fileio.write_json_report(os.path.join(outdir, "error.json"),
                                        report), end="")
         return 1
-    if fname is None:
-        text = fileio.report_json(report)
+    path = os.path.join(outdir, fname)
+    if report is None:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
     else:
-        text = fileio.write_json_report(os.path.join(outdir, fname), report)
+        text = fileio.write_json_report(path, report)
     print(text, end="")
     return code
 

@@ -2,12 +2,29 @@
 
 The grammar is deliberately small: decimal numbers (optional ``i`` suffix
 for imaginary literals), the variable ``z``, the operators ``+ - * / ^``,
-parentheses, and a registry of entire unary primitives (``exp``, ``sin``,
-``cos`` by default).  Anything that could break entirety is rejected at
-parse time: every denominator must be a nonzero constant and every
-exponent a literal non-negative integer.  Literals, and the constants
-folded into denominators and exponents, must be finite, and expressions
-at most ``MAX_DEPTH`` levels deep.
+parentheses, and the entire unary primitives ``exp``, ``sin`` and
+``cos``.  Anything that could break entirety is rejected at parse time:
+every denominator must be a nonzero constant and every exponent a literal
+non-negative integer.  Literals, and the constants folded into
+denominators and exponents, must be finite, and expressions at most
+``MAX_DEPTH`` levels deep.
+
+An expression is parsed once into a postfix *program*: a tuple of
+``(op, arg)`` instructions that act on a stack of values.
+
+- ``("z", None)`` pushes the variable, ``("const", c)`` the complex c.
+- ``neg``, ``exp``, ``sin`` and ``cos`` (arg None) map the top value u
+  to -u, exp u, sin u, cos u; ``add``, ``sub`` and ``mul`` pop v, then
+  u, and push u + v, u - v, u * v.
+- ``("div", c)`` divides the top by the nonzero constant c, and
+  ``("pow", n)`` raises it to the integer n >= 1.
+- ``("pow0", base)`` pushes x^0 = 1 for the base x, whose program it
+  carries only to print it and to count its depth; x is never run.
+
+Four loops interpret a program, recursing only into a ``pow0`` base:
+``_run`` evaluates it, ``_source`` prints it, ``_derivative``
+differentiates it into another program and ``_depth`` measures its
+nesting.
 
 Evaluation is total.  Intermediate overflow saturates to the largest
 representable magnitude and raises a flag instead of an exception, so
@@ -21,7 +38,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Callable, Union
 
 import numpy as np
 
@@ -32,21 +48,30 @@ __all__ = [
     "parse",
     "evaluate",
     "evaluate_with_overflow",
-    "register_primitive",
 ]
 
 # Saturation target for overflowed evaluations: largest representable
 # magnitude, kept real so |value| is itself representable.
 SATURATION = complex(np.finfo(np.float64).max, 0.0)
 
-# Deepest expression the parser accepts, counted both in tree levels and
-# in nested subexpressions.  Evaluation, printing and differentiation
-# recurse once per level, and the parser once per nesting.
+# Deepest expression the parser accepts, counted both in expression
+# levels and in nested subexpressions.  The parser recurses once per
+# nesting.
 MAX_DEPTH = 100
+
+_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
+_INFIX = {"add": "+", "sub": "-", "mul": "*"}
+_PRIMITIVES = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
+# d(prim u)/du as a program suffix applied to u.
+_OUTER = {"exp": (("exp", None),), "sin": (("cos", None),),
+          "cos": (("sin", None), ("neg", None))}
+
+_ZERO = (("const", 0j),)
+_ONE = (("const", 1 + 0j),)
 
 
 # ---------------------------------------------------------------------------
-# AST nodes
+# Interpreters
 # ---------------------------------------------------------------------------
 
 def _flag_nonfinite(values: np.ndarray, overflow: np.ndarray) -> np.ndarray:
@@ -58,239 +83,153 @@ def _flag_nonfinite(values: np.ndarray, overflow: np.ndarray) -> np.ndarray:
     return values
 
 
-@dataclass(frozen=True)
-class Const:
-    value: complex
+def _run(program: tuple, z: np.ndarray, overflow: np.ndarray) -> np.ndarray:
+    """Values of ``program`` at the 1-D array ``z``.
 
-    def _eval(self, z, overflow):
-        v = np.full(z.shape, self.value, dtype=np.complex128)
-        return _flag_nonfinite(v, overflow)
-
-    def _derivative(self):
-        return Const(0j)
-
-    def _source(self) -> str:
-        return _format_complex(self.value)
-
-
-@dataclass(frozen=True)
-class Var:
-    def _eval(self, z, overflow):
-        return z.copy()
-
-    def _derivative(self):
-        return Const(1 + 0j)
-
-    def _source(self) -> str:
-        return "z"
-
-
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
-
-    def _eval(self, z, overflow):
-        return -self.arg._eval(z, overflow)
-
-    def _derivative(self):
-        return _neg(self.arg._derivative())
-
-    def _source(self) -> str:
-        return f"(-{self.arg._source()})"
-
-
-@dataclass(frozen=True)
-class Add:
-    left: "Node"
-    right: "Node"
-
-    def _eval(self, z, overflow):
-        v = self.left._eval(z, overflow) + self.right._eval(z, overflow)
-        return _flag_nonfinite(v, overflow)
-
-    def _derivative(self):
-        return _add(self.left._derivative(), self.right._derivative())
-
-    def _source(self) -> str:
-        return f"({self.left._source()} + {self.right._source()})"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-    def _eval(self, z, overflow):
-        v = self.left._eval(z, overflow) - self.right._eval(z, overflow)
-        return _flag_nonfinite(v, overflow)
-
-    def _derivative(self):
-        return _sub(self.left._derivative(), self.right._derivative())
-
-    def _source(self) -> str:
-        return f"({self.left._source()} - {self.right._source()})"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-    def _eval(self, z, overflow):
-        v = self.left._eval(z, overflow) * self.right._eval(z, overflow)
-        return _flag_nonfinite(v, overflow)
-
-    def _derivative(self):
-        return _add(
-            _mul(self.left._derivative(), self.right),
-            _mul(self.left, self.right._derivative()),
-        )
-
-    def _source(self) -> str:
-        return f"({self.left._source()} * {self.right._source()})"
-
-
-@dataclass(frozen=True)
-class Div:
-    """Quotient by a nonzero constant; the only division entirety allows."""
-
-    num: "Node"
-    den: Const
-
-    def _eval(self, z, overflow):
-        v = self.num._eval(z, overflow) / self.den.value
-        return _flag_nonfinite(v, overflow)
-
-    def _derivative(self):
-        return Div(self.num._derivative(), self.den)
-
-    def _source(self) -> str:
-        return f"({self.num._source()} / {self.den._source()})"
-
-
-@dataclass(frozen=True)
-class Pow:
-    """Integer power with literal exponent >= 0, by binary exponentiation."""
-
-    base: "Node"
-    exponent: int
-
-    def _eval(self, z, overflow):
-        if self.exponent == 0:
-            return np.ones(z.shape, dtype=np.complex128)
-        b = self.base._eval(z, overflow)
-        n = self.exponent
-        acc = None
-        sq = b
-        while n:
-            if n & 1:
-                acc = sq if acc is None else _flag_nonfinite(acc * sq, overflow)
-            n >>= 1
-            if n:
-                sq = _flag_nonfinite(sq * sq, overflow)
-        return acc.copy() if acc is sq else acc
-
-    def _derivative(self):
-        n = self.exponent
-        du = self.base._derivative()
-        if n == 0:
-            return Const(0j)
-        if n == 1:
-            return du
-        outer = _mul(Const(complex(n)), Pow(self.base, n - 1))
-        return _mul(outer, du)
-
-    def _source(self) -> str:
-        return f"({self.base._source()}^{self.exponent})"
-
-
-@dataclass(frozen=True)
-class Call:
-    name: str
-    arg: "Node"
-
-    def _eval(self, z, overflow):
-        v = PRIMITIVES[self.name].fn(self.arg._eval(z, overflow))
-        return _flag_nonfinite(v, overflow)
-
-    def _derivative(self):
-        outer = PRIMITIVES[self.name].derivative(self.arg)
-        return _mul(outer, self.arg._derivative())
-
-    def _source(self) -> str:
-        return f"{self.name}({self.arg._source()})"
-
-
-Node = Union[Const, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
-
-
-# ---------------------------------------------------------------------------
-# Primitive registry
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class _Primitive:
-    fn: Callable[[np.ndarray], np.ndarray]
-    derivative: Callable[[Node], Node]  # builds d(prim)/du as an AST in u
-
-
-PRIMITIVES: dict[str, _Primitive] = {
-    "exp": _Primitive(np.exp, lambda u: Call("exp", u)),
-    "sin": _Primitive(np.sin, lambda u: Call("cos", u)),
-    "cos": _Primitive(np.cos, lambda u: Neg(Call("sin", u))),
-}
-
-
-def register_primitive(name: str, fn, derivative) -> None:
-    """Add an entire unary primitive to the expression grammar.
-
-    ``fn`` maps a complex ndarray to a complex ndarray; ``derivative``
-    maps an argument AST ``u`` to the AST of d(fn)/du.  Register before
-    parsing any source that uses the new name.
+    Every operation but negation saturates its non-finite results and
+    marks them in ``overflow``.  The result never shares memory with ``z``.
     """
-    if not name.isidentifier() or name in ("z", "i"):
-        raise ValueError(f"invalid primitive name {name!r}")
-    PRIMITIVES[name] = _Primitive(fn, derivative)
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op, arg in program:
+        if op == "z":
+            push(z.copy())
+        elif op in _PRIMITIVES:
+            push(_flag_nonfinite(_PRIMITIVES[op](pop()), overflow))
+        elif op in _BINARY:
+            v = pop()
+            push(_flag_nonfinite(_BINARY[op](pop(), v), overflow))
+        elif op == "const":
+            push(np.full(z.shape, arg, dtype=np.complex128))
+        elif op == "neg":
+            push(-pop())
+        elif op == "div":
+            push(_flag_nonfinite(pop() / arg, overflow))
+        elif op == "pow":
+            # binary exponentiation
+            sq, acc = pop(), None
+            while arg:
+                if arg & 1:
+                    acc = sq if acc is None else _flag_nonfinite(acc * sq, overflow)
+                arg >>= 1
+                if arg:
+                    sq = _flag_nonfinite(sq * sq, overflow)
+            push(acc)
+        else:  # pow0
+            push(np.ones(z.shape, dtype=np.complex128))
+    return pop()
+
+
+def _source(program: tuple) -> str:
+    """Canonical fully parenthesized source of ``program``."""
+    stack = []
+    for op, arg in program:
+        if op == "z":
+            stack.append("z")
+        elif op == "const":
+            stack.append(_format_complex(arg))
+        elif op in _INFIX:
+            v = stack.pop()
+            stack.append(f"({stack.pop()} {_INFIX[op]} {v})")
+        elif op == "neg":
+            stack.append(f"(-{stack.pop()})")
+        elif op == "div":
+            stack.append(f"({stack.pop()} / {_format_complex(arg)})")
+        elif op == "pow":
+            stack.append(f"({stack.pop()}^{arg})")
+        elif op == "pow0":
+            stack.append(f"({_source(arg)}^0)")
+        else:
+            stack.append(f"{op}({stack.pop()})")
+    return stack.pop()
+
+
+def _depth(program: tuple) -> int:
+    """Levels of the expression ``program`` encodes; a leaf is one level."""
+    stack = []
+    for op, arg in program:
+        if op in ("z", "const"):
+            stack.append(1)
+        elif op in _BINARY:
+            v = stack.pop()
+            stack.append(1 + max(stack.pop(), v))
+        elif op == "pow0":
+            stack.append(1 + _depth(arg))
+        else:  # one operand; a denominator is a leaf below its quotient
+            stack.append(1 + stack.pop())
+    return stack.pop()
+
+
+def _derivative(program: tuple) -> tuple:
+    """Program of d/dz of ``program``, lightly simplified."""
+    stack = []  # (program, derivative) of each pending operand
+    for ins in program:
+        op, arg = ins
+        if op == "z":
+            u, du = (), _ONE
+        elif op in ("const", "pow0"):
+            u, du = (), _ZERO
+        elif op in _BINARY:
+            v, dv = stack.pop()
+            u, du = stack.pop()
+            if op == "add":
+                du = _add(du, dv)
+            elif op == "sub":
+                du = _sub(du, dv)
+            else:
+                du = _add(_mul(du, v), _mul(u, dv))
+            u += v
+        else:
+            u, du = stack.pop()
+            if op == "neg":
+                du = _neg(du)
+            elif op == "div":
+                du += (ins,)
+            elif op in _OUTER:
+                du = _mul(u + _OUTER[op], du)
+            elif arg > 1:  # pow; (u^1)' is u'
+                outer = _mul((("const", complex(arg)),), u + (("pow", arg - 1),))
+                du = _mul(outer, du)
+        stack.append((u + (ins,), du))
+    return stack.pop()[1]
 
 
 # ---------------------------------------------------------------------------
 # Light structural simplification (used when building derivatives)
 # ---------------------------------------------------------------------------
 
-def _is_const(node: Node, value: complex) -> bool:
-    return isinstance(node, Const) and node.value == value
+def _is_const(program: tuple, value: complex) -> bool:
+    return program == (("const", value),)
 
 
-def _neg(u: Node) -> Node:
-    if _is_const(u, 0j):
-        return u
-    return Neg(u)
+def _neg(u: tuple) -> tuple:
+    return u if _is_const(u, 0j) else u + (("neg", None),)
 
 
-def _add(a: Node, b: Node) -> Node:
+def _add(a: tuple, b: tuple) -> tuple:
     if _is_const(a, 0j):
         return b
     if _is_const(b, 0j):
         return a
-    return Add(a, b)
+    return a + b + (("add", None),)
 
 
-def _sub(a: Node, b: Node) -> Node:
+def _sub(a: tuple, b: tuple) -> tuple:
     if _is_const(b, 0j):
         return a
     if _is_const(a, 0j):
         return _neg(b)
-    return Sub(a, b)
+    return a + b + (("sub", None),)
 
 
-def _mul(a: Node, b: Node) -> Node:
+def _mul(a: tuple, b: tuple) -> tuple:
     if _is_const(a, 0j) or _is_const(b, 0j):
-        return Const(0j)
+        return _ZERO
     if _is_const(a, 1 + 0j):
         return b
     if _is_const(b, 1 + 0j):
         return a
-    return Mul(a, b)
+    return a + b + (("mul", None),)
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +287,7 @@ def _tokenize(source: str) -> list[_Token]:
 
 
 # ---------------------------------------------------------------------------
-# Recursive-descent parser
+# Recursive-descent parser, emitting programs
 #
 #   expr   := term (('+'|'-') term)*
 #   term   := unary (('*'|'/') unary)*
@@ -359,7 +298,6 @@ def _tokenize(source: str) -> list[_Token]:
 
 class _Parser:
     def __init__(self, source: str):
-        self.source = source
         self.tokens = _tokenize(source)
         self.index = 0
         self.nesting = 0
@@ -380,36 +318,36 @@ class _Parser:
                 tok.pos, repr(op))
         return self.advance()
 
-    def parse(self) -> Node:
-        node = self.expr()
+    def parse(self) -> tuple:
+        program = self.expr()
         tok = self.peek()
         if tok.kind != "end":
             raise ExprSyntaxError(
                 f"unexpected token {tok.text!r}", tok.pos,
                 "operator or end of input")
-        self.check_depth(node, 0)
-        return node
+        self.check_depth(program, 0)
+        return program
 
-    def expr(self) -> Node:
-        node = self.term()
+    def expr(self) -> tuple:
+        program = self.term()
         while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            node = Add(node, rhs) if op == "+" else Sub(node, rhs)
-        return node
+            op = "add" if self.advance().text == "+" else "sub"
+            program += self.term() + ((op, None),)
+        return program
 
-    def term(self) -> Node:
-        node = self.unary()
+    def term(self) -> tuple:
+        program = self.unary()
         while self.peek().kind == "op" and self.peek().text in "*/":
             op = self.advance()
+            start = self.index
             rhs = self.unary()
             if op.text == "*":
-                node = Mul(node, rhs)
+                program += rhs + (("mul", None),)
             else:
-                node = Div(node, self._as_nonzero_const(rhs, op.pos))
-        return node
+                program += (("div", self._as_nonzero_const(rhs, start, op.pos)),)
+        return program
 
-    def unary(self) -> Node:
+    def unary(self) -> tuple:
         tok = self.peek()
         self.nesting += 1
         if self.nesting > MAX_DEPTH:
@@ -417,22 +355,23 @@ class _Parser:
                 f"expression nested deeper than {MAX_DEPTH} levels", tok.pos)
         if tok.kind == "op" and tok.text == "-":
             self.advance()
-            node = Neg(self.unary())
+            program = self.unary() + (("neg", None),)
         else:
-            node = self.power()
+            program = self.power()
         self.nesting -= 1
-        return node
+        return program
 
-    def power(self) -> Node:
+    def power(self) -> tuple:
         base = self.atom()
         tok = self.peek()
         if tok.kind == "op" and tok.text == "^":
             op = self.advance()
-            exponent = self.unary()
-            return Pow(base, self._as_int_exponent(exponent, op.pos))
+            start = self.index
+            n = self._as_int_exponent(self.unary(), start, op.pos)
+            return base + (("pow", n),) if n else (("pow0", base),)
         return base
 
-    def atom(self) -> Node:
+    def atom(self) -> tuple:
         tok = self.advance()
         if tok.kind == "number":
             text = tok.text
@@ -441,45 +380,63 @@ class _Parser:
             if not math.isfinite(value):
                 raise ExprSyntaxError(f"literal {text!r} overflows", tok.pos,
                                       "a finite number")
-            return Const(complex(0.0, value) if imaginary else complex(value, 0.0))
+            return (("const",
+                     complex(0.0, value) if imaginary else complex(value, 0.0)),)
         if tok.kind == "name":
             if tok.text == "z":
-                return Var()
+                return (("z", None),)
             if tok.text == "i":
-                return Const(1j)
-            if tok.text in PRIMITIVES:
+                return (("const", 1j),)
+            if tok.text in _PRIMITIVES:
                 self.expect_op("(")
                 arg = self.expr()
                 self.expect_op(")")
-                return Call(tok.text, arg)
+                return arg + ((tok.text, None),)
             raise ExprSyntaxError(
                 f"unknown identifier {tok.text!r}", tok.pos,
-                "'z', 'i' or one of " + ", ".join(sorted(PRIMITIVES)))
+                "'z', 'i' or one of " + ", ".join(sorted(_PRIMITIVES)))
         if tok.kind == "op" and tok.text == "(":
-            node = self.expr()
+            program = self.expr()
             self.expect_op(")")
-            return node
+            return program
         raise ExprSyntaxError(
             f"unexpected token {tok.text!r}" if tok.text else "unexpected end of input",
             tok.pos, "number, 'z', 'i', function call or '('")
 
-    def check_depth(self, node: Node, pos: int) -> None:
-        # A tree has no more levels than the source has tokens.
-        if len(self.tokens) > MAX_DEPTH:
-            _check_depth(node, pos)
+    def check_depth(self, program: tuple, pos: int) -> None:
+        # An expression has no more levels than the source has tokens.
+        if len(self.tokens) > MAX_DEPTH and _depth(program) > MAX_DEPTH:
+            raise ExprSyntaxError(
+                f"expression nested deeper than {MAX_DEPTH} levels", pos)
 
-    def _as_nonzero_const(self, node: Node, pos: int) -> Const:
-        self.check_depth(node, pos)
-        value = _constant_value(node, pos)
+    def constant_value(self, program: tuple, start: int, pos: int) -> complex | None:
+        """Value of the operand parsed from token ``start`` on, or None if
+        it reads ``z``.
+
+        A value that overflows anywhere in its evaluation is rejected rather
+        than folded to its saturated stand-in.
+        """
+        self.check_depth(program, pos)
+        if any(tok.text == "z" for tok in self.tokens[start:self.index]):
+            return None
+        overflow = np.zeros(1, dtype=bool)
+        with np.errstate(all="ignore"):
+            value = _run(program, np.zeros(1, dtype=np.complex128), overflow)
+        if overflow[0]:
+            raise ExprSyntaxError("constant expression overflows", pos,
+                                  "a finite constant")
+        return complex(value[0])
+
+    def _as_nonzero_const(self, program: tuple, start: int, pos: int) -> complex:
+        value = self.constant_value(program, start, pos)
         if value is None:
             raise NonEntireError("denominator must be a constant", pos)
         if value == 0:
             raise NonEntireError("denominator must be nonzero", pos)
-        return Const(value)
+        return value
 
-    def _as_int_exponent(self, node: Node, pos: int) -> int:
-        self.check_depth(node, pos)
-        value = _constant_value(node, pos)
+    def _as_int_exponent(self, program: tuple, start: int, pos: int) -> int:
+        value = self.constant_value(program, start, pos)
         if value is None:
             raise NonEntireError("exponent must be a constant integer", pos)
         if value.imag != 0.0 or value.real != int(value.real):
@@ -489,50 +446,6 @@ class _Parser:
         return int(value.real)
 
 
-def _children(node: Node) -> tuple:
-    if isinstance(node, (Neg, Call)):
-        return (node.arg,)
-    if isinstance(node, Pow):
-        return (node.base,)
-    if isinstance(node, Div):
-        return (node.num, node.den)
-    if isinstance(node, (Add, Sub, Mul)):
-        return (node.left, node.right)
-    return ()
-
-
-def _check_depth(node: Node, pos: int) -> None:
-    """Reject trees deeper than MAX_DEPTH, walking them without recursion."""
-    stack = [(node, 1)]
-    while stack:
-        node, depth = stack.pop()
-        if depth > MAX_DEPTH:
-            raise ExprSyntaxError(
-                f"expression nested deeper than {MAX_DEPTH} levels", pos)
-        stack.extend((child, depth + 1) for child in _children(node))
-
-
-def _contains_var(node: Node) -> bool:
-    return isinstance(node, Var) or any(_contains_var(c) for c in _children(node))
-
-
-def _constant_value(node: Node, pos: int) -> complex | None:
-    """Value of a variable-free subtree, or None if it contains ``z``.
-
-    A value that overflows anywhere in its evaluation is rejected rather
-    than folded to its saturated stand-in.
-    """
-    if _contains_var(node):
-        return None
-    overflow = np.zeros(1, dtype=bool)
-    with np.errstate(all="ignore"):
-        value = node._eval(np.zeros(1, dtype=np.complex128), overflow)
-    if overflow[0]:
-        raise ExprSyntaxError("constant expression overflows", pos,
-                              "a finite constant")
-    return complex(value[0])
-
-
 # ---------------------------------------------------------------------------
 # Public wrapper
 # ---------------------------------------------------------------------------
@@ -540,17 +453,18 @@ def _constant_value(node: Node, pos: int) -> complex | None:
 class FunctionExpression:
     """A validated entire function of one complex variable.
 
-    Immutable after construction; the symbolic derivative is computed
-    eagerly and its expression is built once, on first use, so instances
-    can be shared freely across threads.
+    Holds its postfix program (see the module docstring).  Immutable
+    after construction; the symbolic derivative is computed eagerly and
+    its expression is built once, on first use, so instances can be
+    shared freely across threads.
     """
 
-    __slots__ = ("root", "derivative_root", "_source", "_derivative_expr")
+    __slots__ = ("program", "derivative_program", "_text", "_derivative_expr")
 
-    def __init__(self, root: Node):
-        object.__setattr__(self, "root", root)
-        object.__setattr__(self, "derivative_root", root._derivative())
-        object.__setattr__(self, "_source", root._source())
+    def __init__(self, program: tuple):
+        object.__setattr__(self, "program", program)
+        object.__setattr__(self, "derivative_program", _derivative(program))
+        object.__setattr__(self, "_text", _source(program))
         object.__setattr__(self, "_derivative_expr", None)
 
     def __setattr__(self, name, value):
@@ -563,21 +477,22 @@ class FunctionExpression:
         if self._derivative_expr is None:
             # a race builds two equal expressions; either may be kept
             object.__setattr__(self, "_derivative_expr",
-                               FunctionExpression(self.derivative_root))
+                               FunctionExpression(self.derivative_program))
         return self._derivative_expr
 
     def to_source(self) -> str:
         """Canonical fully parenthesized source; ``parse`` round-trips it."""
-        return self._source
+        return self._text
 
     def __repr__(self) -> str:
-        return f"FunctionExpression({self._source!r})"
+        return f"FunctionExpression({self._text!r})"
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, FunctionExpression) and self.root == other.root
+        return (isinstance(other, FunctionExpression)
+                and self.program == other.program)
 
     def __hash__(self) -> int:
-        return hash(self._source)
+        return hash(self._text)
 
 
 def parse(source: str) -> FunctionExpression:
@@ -602,7 +517,7 @@ def evaluate_with_overflow(f: FunctionExpression, z):
     work = arr.reshape(-1)
     overflow = np.zeros(work.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        values = f.root._eval(work, overflow)
+        values = _run(f.program, work, overflow)
     if scalar:
         return complex(values[0]), bool(overflow[0])
     return values.reshape(arr.shape), overflow.reshape(arr.shape)

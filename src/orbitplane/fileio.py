@@ -144,8 +144,11 @@ def atomic_write_text(path, text: str) -> None:
 
 
 def report_json(report: dict) -> str:
-    """The text of a JSON report, as written to its file and to stdout."""
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """The text of a JSON report, as written to its file and to stdout.
+
+    Strict JSON: a non-finite number raises ``ValueError``.
+    """
+    return json.dumps(report, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def write_json_report(path, report: dict) -> str:

@@ -244,7 +244,8 @@ def _extremum(f: FunctionExpression, r: float, n_coarse: int, tol: float,
                                       scale[act], r, tol)
 
     k = int(np.argmin(v))
-    value = sign * float(v[k])
+    # |f| of finite values may overflow; report it saturated, like f itself
+    value = min(sign * float(v[k]), _SATURATED)
     arg = float(x[k]) % (2 * math.pi)
     return RadialExtremum(r, value, arg, samples, refined, evaluations, stop)
 

@@ -136,12 +136,13 @@ def iterate_orbit(f: FunctionExpression, z0: complex, policy: OrbitPolicy,
     for _ in range(step if keep_trace else 0):
         trace.append(evaluate(f, trace[-1]))
     escaped, locked = kind == ESCAPED, kind == CYCLE_LOCKED
+    # |z| of a finite z may overflow; report it saturated, like f itself
     return OrbitVerdict(
         kind, escape_step=step if escaped else None,
-        escape_modulus=float(stops.escape_modulus[0]) if escaped else None,
+        escape_modulus=min(float(stops.escape_modulus[0]), _HUGE) if escaped else None,
         period=int(stops.period[0]) if locked else None,
         representative=complex(stops.representative[0]) if locked else None,
-        max_modulus=float(stops.max_modulus[0]),
+        max_modulus=min(float(stops.max_modulus[0]), _HUGE),
         trace=tuple(trace) if keep_trace else None)
 
 

@@ -59,6 +59,10 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2x2 pixels")
+        dx, dy = self.dx, self.dy
+        if not (0 < dx < math.inf and 0 < dy < math.inf and dx / dy < math.inf):
+            raise ValueError("pixel sizes and their ratio must be positive "
+                             "and finite")
 
     @property
     def dx(self) -> float:

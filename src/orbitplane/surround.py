@@ -105,6 +105,9 @@ def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
     """
     if not curve.closed:
         raise ValueError("surrounds requires a closed curve")
+    if int(probe_grid) ** 2 > max_points:
+        raise ValueError(f"a {int(probe_grid)} x {int(probe_grid)} probe "
+                         f"lattice exceeds the {max_points}-point cap")
 
     c = None
 

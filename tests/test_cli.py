@@ -1,12 +1,14 @@
 import json
 import math
 import os
+import sys
 
 import numpy as np
 import pytest
 
 from orbitplane import cli, fileio
 from orbitplane.cli import main
+from orbitplane.errors import InvalidRadius
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -110,6 +112,51 @@ BAD_FLAG_VALUES = {
     "discs-huge": ["surround-check", "--f", "z", "--discs", "1e308,1e308"],
     "spl-discs-huge": ["spl-check", "--f", "z", "--discs", "1e308,1e308"],
     "constant-image": ["surround-check", "--f", "1", "--discs", "1,2"],
+    "minmod-n-coarse-zero": ["minmod", "--f", "z", "--r", "1", "--n-coarse", "0"],
+    "minmod-tol-zero": ["minmod", "--f", "z", "--r", "1", "--tol", "0"],
+    "minmod-tol-nan": ["minmod", "--f", "z", "--r", "1", "--tol", "nan"],
+    "minmod-r-nan": ["minmod", "--f", "z", "--r", "nan"],
+    "minmod-r-negative": ["minmod", "--f", "z", "--r", "-1"],
+    "minmod-r-inf": ["minmod", "--f", "z", "--r", "inf"],
+    "iterate-n-max-zero": ["minmod-iterate", "--f", "z", "--r", "1",
+                           "--n-max", "0"],
+    "iterate-blow-up-below-r": ["minmod-iterate", "--f", "z", "--r", "2",
+                                "--blow-up", "1"],
+    "iterate-blow-up-inf": ["minmod-iterate", "--f", "z^2", "--r", "2",
+                            "--blow-up", "inf"],
+    "disc-seq-count-zero": ["disc-seq", "--f", "z", "--r", "1", "--count", "0"],
+    "disc-seq-r-above-blow-up": ["disc-seq", "--f", "z", "--r", "1e60"],
+    "orbit-budget-zero": ["orbit", "--f", "z", "--z0", "1,0", "--budget", "0"],
+    "orbit-cycle-window-zero": ["orbit", "--f", "z", "--z0", "1,0",
+                                "--cycle-window", "0"],
+    "orbit-escape-radius-nan": ["orbit", "--f", "z", "--z0", "1,0",
+                                "--escape-radius", "nan"],
+    "orbit-cycle-tol-negative": ["orbit", "--f", "z", "--z0", "1,0",
+                                 "--cycle-tol", "-1"],
+    "orbit-cycle-tol-inf": ["orbit", "--f", "z", "--z0", "1,0",
+                            "--cycle-tol", "inf"],
+    "render-nx-zero": ["render", "--f", "z", "--window", "-1,1,-1,1",
+                       "--nx", "0", "--ny", "4"],
+    "render-nx-one": ["render", "--f", "z", "--window", "-1,1,-1,1",
+                      "--nx", "1", "--ny", "4"],
+    "render-window-overflows": ["render", "--f", "z", "--window",
+                                "-1.7e308,1.7e308,-1,1", "--nx", "4", "--ny", "4"],
+    "render-pixel-underflows": ["render", "--f", "z", "--window",
+                                "-1,1,0,1e-323", "--nx", "4", "--ny", "4"],
+    "fixed-points-seeds-zero": ["fixed-points", "--f", "z", "--rect",
+                                "-1,1,-1,1", "--seeds", "0"],
+    "fixed-points-max-newton-negative": ["fixed-points", "--f", "z", "--rect",
+                                         "-1,1,-1,1", "--max-newton", "-1"],
+    "fixed-points-newton-tol-inf": ["fixed-points", "--f", "z^2", "--rect",
+                                    "-1,1,-1,1", "--newton-tol", "inf"],
+    "spl-probe-grid-zero": ["spl-check", "--f", "z", "--discs", "1,2",
+                            "--probe-grid", "0"],
+    "spl-probe-grid-negative": ["spl-check", "--f", "z", "--discs", "1,2",
+                                "--probe-grid", "-3"],
+    "spl-probe-grid-above-cap": ["spl-check", "--f", "z", "--discs", "1,2",
+                                 "--probe-grid", "448"],
+    "surround-probe-grid-above-cap": ["surround-check", "--f", "z", "--discs",
+                                      "1,2", "--probe-grid", "448"],
 }
 
 
@@ -184,14 +231,60 @@ def test_surround_check_failure_exit(tmp_path):
     assert rep["condition_a"] is False
 
 
+def _refuse(*args, **kwargs):
+    raise InvalidRadius("refused for the test")
+
+
 @pytest.mark.parametrize("argv, name", [
     (["surround-check", "--f", "sin(z)", "--discs", "1,2,3"], "surround_check.json"),
-    (["minmod", "--f", "z", "--r", "-1"], "error.json"),
+    (["minmod", "--f", "z", "--r", "1"], "error.json"),
     (["scenario", "ex52"], "scenario_ex52.json"),
 ], ids=["report", "error", "scenario"])
-def test_stdout_is_the_report_file(tmp_path, capsys, argv, name):
+def test_stdout_is_the_report_file(tmp_path, capsys, monkeypatch, argv, name):
+    if name == "error.json":  # a library error past the flag checks: exit 1
+        monkeypatch.setattr(cli, "min_modulus", _refuse)
     run(tmp_path, *argv)
     assert capsys.readouterr().out == (tmp_path / name).read_text(encoding="utf-8")
+
+
+def test_scenario_report_is_encoded_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counting(report):
+        calls.append(report["kind"])
+        return encode(report)
+
+    encode = fileio.report_json
+    monkeypatch.setattr(fileio, "report_json", counting)
+    assert run(tmp_path, "scenario", "ex52") == 0
+    assert calls == ["scenario"]
+
+
+def _strict(text):
+    def refuse(token):
+        raise ValueError(f"non-finite number {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.parametrize("argv, name, field", [
+    (["orbit", "--f", "(1+i)*z", "--z0", "1.5e308,0"], "orbit.json",
+     ("verdict", "escape_modulus")),
+    (["orbit", "--f", "z", "--z0", "1.5e308,1.5e308"], "orbit.json",
+     ("verdict", "max_modulus")),
+    (["minmod", "--f", "(1+i)*z", "--r", "1.7e308"], "minmod.json",
+     ("maximum", "value")),
+], ids=["orbit-escape-modulus", "orbit-start-modulus", "minmod-maximum"])
+def test_overflowed_modulus_reads_as_largest_float(tmp_path, capsys, argv, name,
+                                                   field):
+    assert run(tmp_path, *argv) == 0
+    report = _strict(capsys.readouterr().out)
+    assert report[field[0]][field[1]] == sys.float_info.max
+    assert report == load_and_validate(tmp_path, name)
+
+
+def test_reports_are_strict_json():
+    with pytest.raises(ValueError):
+        fileio.report_json({"value": math.inf})
 
 
 def test_spl_check_rects(tmp_path):

@@ -6,8 +6,7 @@ import pytest
 
 from orbitplane.errors import ExprSyntaxError, NonEntireError
 from orbitplane.expressions import (MAX_DEPTH, FunctionExpression, evaluate,
-                                    evaluate_with_overflow, parse,
-                                    register_primitive)
+                                    evaluate_with_overflow, parse)
 
 PI = math.pi
 
@@ -205,16 +204,6 @@ def test_second_derivative_chains():
     f = parse("sin(z)")
     d2 = f.derivative().derivative()
     assert abs(d2(0.7) + math.sin(0.7)) < 1e-12
-
-
-def test_register_primitive_extends_grammar():
-    from orbitplane.expressions import Call
-
-    register_primitive("sinh_test", np.sinh, lambda u: Call("cosh_test", u))
-    register_primitive("cosh_test", np.cosh, lambda u: Call("sinh_test", u))
-    f = parse("sinh_test(z)")
-    assert abs(f(1.0) - math.sinh(1.0)) < 1e-12
-    assert abs(f.derivative()(1.0) - math.cosh(1.0)) < 1e-12
 
 
 def test_immutability():

@@ -331,3 +331,9 @@ def test_iteration_records_argument_of_each_minimum():
     assert len(rep.arguments) == len(rep.sequence) - 1
     for r, arg, m in zip(rep.sequence, rep.arguments, rep.sequence[1:]):
         assert abs(complex(f(r * np.exp(1j * arg)))) == pytest.approx(m, rel=1e-12)
+
+
+def test_overflowed_modulus_saturates():
+    # |(1+i) z| overflows on |z| = 1.7e308 although f itself stays finite
+    f = parse("(1+i)*z")
+    assert max_modulus(f, 1.7e308).value == np.finfo(np.float64).max

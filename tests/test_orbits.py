@@ -197,3 +197,12 @@ def test_ex52_real_seeds_reach_nearest_superattractor():
         target = PI / 2 if x < 3 * PI / 2 else 5 * PI / 2
         v = iterate_orbit(f, x, policy, keep_trace=True)
         assert min(abs(z - target) for z in v.trace) < 1e-6, x
+
+
+@pytest.mark.parametrize("source, z0", [("(1+i)*z", 1.5e308),
+                                        ("z", 1.5e308 + 1.5e308j)])
+def test_overflowed_orbit_modulus_saturates(source, z0):
+    verdict = iterate_orbit(parse(source), z0, OrbitPolicy())
+    assert verdict.kind == ESCAPED
+    assert verdict.escape_modulus == np.finfo(np.float64).max
+    assert verdict.max_modulus == np.finfo(np.float64).max

@@ -197,3 +197,11 @@ def test_reports_carry_finite_horizon_note(ex52):
     rep = check_spl(ex52, [ex52_domain(0), ex52_domain(1)], density=4.0)
     assert "finite" in rep.note
     assert "finite" in rep.self_surround[0].report.note
+
+
+def test_probe_lattice_above_cap_is_refused_before_allocating():
+    curve = image_curve(parse("2*z"), boundary(Disc(0j, 1.0), 4.0), max_step=None)
+    for grid in (448, 100_000):  # 100,000^2 probes would need 149 GiB
+        with pytest.raises(ValueError, match="probe lattice"):
+            surrounds(curve, Disc(0j, 1.0), grid)
+    assert surrounds(curve, Disc(0j, 1.0), 447).verdict
