@@ -9,6 +9,10 @@ was left.  Cycle detection confirms every near-return by replaying one
 full period before locking, which avoids false positives from slow
 spirals.  One batched orbit kernel applies these rules: a single orbit
 is a batch of one, and ``raster.classify_grid`` runs it on every pixel.
+The kernel looks for near-returns only at starts whose Re z lies within
+the tolerance of a running hull of their recent real parts, so orbits
+that drift monotonically, like those creeping towards a parabolic
+point, skip the history scan altogether.
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ _HUGE = float(np.finfo(np.float64).max)
 _KINDS = (BUDGET_EXHAUSTED, ESCAPED, CYCLE_LOCKED)
 _BUDGET, _ESCAPED, _LOCKED = range(3)
 
-# History rows per near-return prefilter call: as many as fit in this many
-# elements (at least one), so a small batch scans its window in one call.
+# History rows per near-return scan call: as many rows of the candidate
+# starts as fit in this many elements (at least one), so a few candidates
+# are scanned against their whole window in one call.
 _SCAN_BLOCK = 4096
 
 # The kernel compacts its per-start state once fewer than this share of
@@ -180,15 +185,24 @@ _Stops = namedtuple("_Stops", "kind step escape_modulus period representative "
                     "max_modulus")
 
 
+# Differences of real parts near the largest float may overflow: -inf
+# keeps a start in the scan and +inf drops it, both rightly.
+@np.errstate(over="ignore")
 def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy) -> _Stops:
     """The orbit kernel: iterate each start of the 1-D array ``z`` in place.
 
     Per-start state lives in the prefix ``[:nc]`` of its arrays and is
     compacted in place once few enough of those starts are still active.
-    The near-return scan compares each new point with its whole history
-    window, in blocks of rows: real parts first (|Re d| <= |d|, so no
-    return is missed), then the complex modulus of the hits; the smallest
-    confirmed lag wins.
+    Each start keeps a hull [win_lo, win_hi] of Re z over a superset of
+    its history window: every ``cycle_window`` steps it is rebuilt from
+    the history rows, and in between it grows by each new Re z (the
+    running min/max of van Herk and Gil & Werman, loosened to a
+    superset).  Only starts with no pending return whose Re z lies within
+    ``cycle_tol`` of the hull are scanned, so the scan finds every return
+    the full window scan would.  The scan gathers the history of those
+    candidates in blocks of rows and compares real parts first
+    (|Re d| <= |d|, so no return is missed), then the complex modulus of
+    the hits; the smallest confirmed lag wins.
     """
     n, w, tol = z.size, policy.cycle_window, policy.cycle_tol
     kind = np.zeros(n, dtype=np.uint8)
@@ -204,11 +218,12 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy) -> _Stop
     # Row s % w holds the orbit point at step s.
     hist_re, hist_im = np.empty((2, w, n))
     hist_re[0], hist_im[0] = z.real, z.imag
+    # Bounds on Re z over every history row the next scan reads.
+    win_lo, win_hi = np.array([z.real, z.real])
     # A pending near-return is due at this step, against the target and
-    # lag already stored in representative and period; -1 when none.
+    # lag already stored in representative and period; -1 when none, and
+    # 0, a step that never comes, once the start has stopped.
     pending_due = np.full(n, -1, dtype=np.int64)
-    scratch = np.empty(min(w * n, max(n, _SCAN_BLOCK)))  # prefilter blocks
-    near = np.empty(scratch.size, dtype=bool)
     nc = n
 
     def stop(at, code, step):
@@ -217,6 +232,7 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy) -> _Stop
         stop_step[out] = step
         max_out[out] = max_mod[at]
         alive[at] = False
+        pending_due[at] = 0
         return out
 
     for step in range(1, policy.budget + 1):
@@ -232,9 +248,7 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy) -> _Stop
             m_esc = m[escaped]
             escape_modulus[stop(esc, _ESCAPED, step)] = np.where(
                 m_esc >= policy.escape_radius, m_esc, _HUGE)
-            pending_due[esc] = -1
 
-        # A start that stopped keeps a due step in the past, or -1.
         due = (pending_due[:nc] == step).nonzero()[0]
         if due.size:
             hit = np.abs(z[due] - representative[orig[due]]) < tol
@@ -242,24 +256,31 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy) -> _Stop
             pending_due[due[~hit]] = -1
 
         zr = z[:nc]
-        scanning = alive[:nc] & (pending_due[:nc] < 0)
-        if np.count_nonzero(scanning):
-            sr = np.where(scanning, zr.real, np.nan)  # NaN never matches
+        re = zr.real
+        lo, hi = win_lo[:nc], win_hi[:nc]
+        # Rounding is monotone: lo - x >= tol rules out |h - x| < tol for
+        # every history value h >= lo, and likewise on the hi side.
+        scan = lo - re < tol
+        scan &= re - hi < tol
+        scan &= pending_due[:nc] < 0  # alive, and no return pending
+        cols = scan.nonzero()[0]
+        if cols.size:
+            re_cols = re[cols]
             rows = min(step, w)  # history rows written so far
-            block = min(w, max(1, _SCAN_BLOCK // nc))
-            d_block = scratch[:block * nc].reshape(block, nc)
-            hits_block = near[:block * nc].reshape(block, nc)
+            block = min(w, max(1, _SCAN_BLOCK // cols.size))
             keys = []
             for r0 in range(0, rows, block):
                 r1 = min(r0 + block, rows)
-                d, hits = d_block[:r1 - r0], hits_block[:r1 - r0]
-                np.subtract(hist_re[r0:r1, :nc], sr, out=d)
-                np.abs(d, out=d)
-                np.less(d, tol, out=hits)
-                if not np.count_nonzero(hits):
+                # take on whole rows, which are contiguous, gathers faster
+                # than indexing hist_re[r0:r1, cols]
+                h = hist_re[r0:r1].take(cols, axis=1)
+                h -= re_cols
+                near = np.abs(h, out=h) < tol
+                if not np.count_nonzero(near):
                     continue
-                slot, col = np.nonzero(hits)
+                slot, col = np.nonzero(near)
                 slot += r0
+                col = cols[col]
                 cand = hist_re[slot, col] + 1j * hist_im[slot, col]
                 ok = np.abs(zr[col] - cand) < tol
                 # Row slot holds step s = step - lag with slot = s % w.
@@ -273,15 +294,21 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy) -> _Stop
                 period[orig[col]] = lag
                 representative[orig[col]] = zr[col]
 
-        hist_re[step % w, :nc] = zr.real
+        hist_re[step % w, :nc] = re
         hist_im[step % w, :nc] = zr.imag
+        if step % w == 0:  # the rows now hold steps step - w + 1 .. step
+            np.min(hist_re[:, :nc], axis=0, out=lo)
+            np.max(hist_re[:, :nc], axis=0, out=hi)
+        else:
+            np.minimum(lo, re, out=lo)
+            np.maximum(hi, re, out=hi)
 
         n_alive = int(np.count_nonzero(alive[:nc]))
         if n_alive == 0:
             break
         if n_alive < _COMPACT_FRACTION * nc:
             keep = alive[:nc].nonzero()[0]
-            for arr in (z, orig, max_mod, pending_due):
+            for arr in (z, orig, max_mod, pending_due, win_lo, win_hi):
                 arr[:n_alive] = arr[keep]
             for plane in (hist_re, hist_im):
                 for row in plane[:min(step + 1, w)]:  # rows written so far
@@ -335,25 +362,28 @@ def find_fixed_points(f: FunctionExpression, region: DomainSpec,
 
     # Iterate every seed the full budget (cheap, and lets multiple roots
     # polish as far as the degenerate derivative allows); the residual
-    # filter afterwards is what decides convergence.
+    # filter afterwards is what decides convergence.  Huge values overflow
+    # g, the Newton step or the residual; the isfinite and residual filters
+    # drop those seeds, so numpy need not warn about them.
     alive = np.ones(z.shape, dtype=bool)
-    for _ in range(max_newton):
-        idx = np.nonzero(alive)[0]
-        if idx.size == 0:
-            break
-        g = evaluate(f, z[idx]) - z[idx]
-        gp = evaluate(df, z[idx]) - 1.0
-        frozen = np.abs(gp) < 1e-14
-        alive[idx[frozen]] = False
-        idx = idx[~frozen]
-        if idx.size == 0:
-            break
-        z_new = z[idx] - g[~frozen] / gp[~frozen]
-        ok = np.isfinite(z_new) & (np.abs(z_new) < 1e12)
-        z[idx[ok]] = z_new[ok]
-        alive[idx[~ok]] = False
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for _ in range(max_newton):
+            idx = np.nonzero(alive)[0]
+            if idx.size == 0:
+                break
+            g = evaluate(f, z[idx]) - z[idx]
+            gp = evaluate(df, z[idx]) - 1.0
+            frozen = np.abs(gp) < 1e-14
+            alive[idx[frozen]] = False
+            idx = idx[~frozen]
+            if idx.size == 0:
+                break
+            z_new = z[idx] - g[~frozen] / gp[~frozen]
+            ok = np.isfinite(z_new) & (np.abs(z_new) < 1e12)
+            z[idx[ok]] = z_new[ok]
+            alive[idx[~ok]] = False
+        final = np.abs(evaluate(f, z) - z)
 
-    final = np.abs(evaluate(f, z) - z)
     converged = (final < newton_tol) & contains(region, z, closed=True)
     roots = z[converged]
     roots = roots[np.lexsort((roots.imag, roots.real))]

@@ -7,11 +7,12 @@ moduli with Python ``abs``; the kernel's ``np.abs`` is not correctly
 rounded, so moduli agree to within two ulps and everything else exactly.
 """
 
+import math
 import sys
 
 from orbitplane.expressions import evaluate_with_overflow
-from orbitplane.orbits import (BUDGET_EXHAUSTED, CYCLE_LOCKED, ESCAPED,
-                               OrbitVerdict)
+from orbitplane.orbits import (_KINDS, BUDGET_EXHAUSTED, CYCLE_LOCKED,
+                               ESCAPED, OrbitVerdict, _iterate)
 
 HUGE = sys.float_info.max  # the escape modulus recorded on overflow
 
@@ -56,3 +57,28 @@ def reference_orbit(f, z0, policy, keep_trace=False):
         if len(recent) > policy.cycle_window:
             recent.pop(0)
     return done(BUDGET_EXHAUSTED)
+
+
+def assert_within_ulp(got, want):
+    # np.abs of a complex is not correctly rounded (1.6 ulp off on an
+    # escaping z^2 - 1.3107 orbit), Python's abs is; allow two ulps.
+    assert abs(got - want) <= 2 * math.ulp(want), (got, want)
+
+
+def assert_kernel_matches(f, starts, policy):
+    """Run the kernel on a copy of ``starts``; each stop equals the loop's.
+
+    Returns the kernel's stops.
+    """
+    stops = _iterate(f, starts.copy(), policy)
+    for k, z0 in enumerate(starts):
+        want = reference_orbit(f, z0, policy)
+        assert _KINDS[stops.kind[k]] == want.kind, z0
+        if want.escape_step is not None:
+            assert stops.step[k] == want.escape_step, z0
+            assert_within_ulp(stops.escape_modulus[k], want.escape_modulus)
+        if want.period is not None:
+            assert (stops.period[k], stops.representative[k]) == \
+                (want.period, want.representative), z0
+        assert_within_ulp(stops.max_modulus[k], want.max_modulus)
+    return stops

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import subprocess
 import sys
 
 import numpy as np
@@ -312,6 +313,18 @@ def test_fixed_points(tmp_path):
     rep = load_and_validate(tmp_path, "fixed_points.json")
     classes = [r["classification"] for r in rep["fixed_points"]]
     assert classes == ["superattracting", "repelling"] * 2
+
+
+def test_fixed_points_of_huge_function_keep_stderr_empty(tmp_path):
+    # the Newton step overflows on every seed; numpy must not warn
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitplane.cli", "--out", str(tmp_path),
+         "fixed-points", "--f", "1e308*(1+i)*z", "--rect", "-1,1,-1,1"],
+        capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert json.loads(proc.stdout)["kind"] == "fixed_points"
 
 
 def test_render_components_swprobe_pipeline(tmp_path):

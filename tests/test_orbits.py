@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,19 @@ def test_fixed_point_residual_invariant():
     for rec in find_fixed_points(f, Rect(0.0, 4 * PI, -1.0, 1.0)):
         assert abs(complex(f(rec.location)) - rec.location) < 1e-10
         assert rec.residual < 1e-10
+
+
+@pytest.mark.parametrize("source, region", [
+    ("1e308*(1+i)*z", Rect(-1.0, 1.0, -1.0, 1.0)),
+    ("1e308*z^2", Rect(-1e300, 1e300, -1.0, 1.0)),
+])
+def test_fixed_points_of_huge_functions_raise_no_warning(source, region):
+    # the Newton step, g = f(z) - z and the residual overflow; such seeds
+    # are dropped without a floating-point warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        recs = find_fixed_points(parse(source), region)
+    assert all(rec.residual < 1e-10 for rec in recs)
 
 
 def test_attracting_classification():

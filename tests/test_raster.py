@@ -13,7 +13,7 @@ from orbitplane.orbits import (_KINDS, OrbitPolicy, PointClass, _iterate,
 from orbitplane.raster import (GridSpec, boundary_pixels,
                                classification_from_array, classify_grid,
                                label_components, spiders_web_probe)
-from reference_orbit import reference_orbit
+from reference_orbit import assert_within_ulp, reference_orbit
 from reference_probe import reference_per_radius
 
 PI = math.pi
@@ -94,12 +94,6 @@ def test_classify_grid_matches_classify_point():
         for ix in range(grid.nx):
             verdict = reference_orbit(f, centers[iy, ix], pol)
             assert pc.classes[iy, ix] == int(class_of_verdict(verdict, pol))
-
-
-def assert_within_ulp(got, want):
-    # np.abs of a complex is not correctly rounded (1.6 ulp off on an
-    # escaping z^2 - 1.3107 orbit), Python's abs is; allow two ulps.
-    assert abs(got - want) <= 2 * math.ulp(want), (got, want)
 
 
 def assert_same_verdict(got, want):
