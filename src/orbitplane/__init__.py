@@ -18,6 +18,7 @@ from .errors import (AliasingUnresolved, CurveTooClose, DegenerateDomain,
                      RefinementBudgetExceeded)
 from .expressions import (FunctionExpression, evaluate,
                           evaluate_with_overflow, parse)
+from .fileio import write_ppm
 from .modulus import (DIVERGES, NOT_DIVERGING, UNDECIDED, DiscSequence,
                       MinModIterationReport, RadialExtremum,
                       derive_disc_sequence, iterate_min_modulus, max_modulus,
@@ -28,7 +29,7 @@ from .orbits import (BUDGET_EXHAUSTED, CYCLE_LOCKED, ESCAPED,
 from .raster import (ComponentLabeling, ComponentStat, GridSpec,
                      PixelClassification, SpidersWebReport, boundary_pixels,
                      classification_from_array, classify_grid,
-                     label_components, spiders_web_probe, write_ppm)
+                     label_components, spiders_web_probe)
 from .scenarios import SCENARIOS, ex51_domain, ex52_domain, run_scenario
 from .surround import (NestedDomainsReport, SplReport, SurroundReport,
                        check_spl, check_nested_domains, surrounds)

@@ -4,6 +4,10 @@ Subcommands: parse-check, minmod, minmod-iterate, disc-seq,
 surround-check, spl-check, orbit, fixed-points, render, components,
 sw-probe, scenario.
 
+Each subcommand body computes its result and returns the report as the
+echoed flags plus the ``fileio`` encoding of that result: bodies compute,
+``fileio`` encodes.
+
 Exit codes: 0 on success with all asserted checks passing, 1 on a failed
 check (a JSON failure report is still written), 2 on usage or expression
 errors.  All numeric parameters are flags; a ``key=value`` config file
@@ -22,8 +26,6 @@ import re
 import sys
 import zipfile
 
-import numpy as np
-
 from . import fileio
 from .curves import image_curve
 from .domains import Disc, Rect, boundary
@@ -32,17 +34,13 @@ from .errors import (DegenerateDomain, ExprSyntaxError, InvalidRadius,
 from .expressions import parse as parse_expr
 from .modulus import (derive_disc_sequence, iterate_min_modulus, max_modulus,
                       min_modulus)
-from .orbits import (OrbitPolicy, PointClass, class_of_verdict,
-                     find_fixed_points, iterate_orbit)
+from .orbits import OrbitPolicy, PointClass, find_fixed_points, iterate_orbit
 from .raster import (GridSpec, boundary_pixels, classify_grid,
-                     label_components, spiders_web_probe, write_ppm)
+                     label_components, spiders_web_probe)
 from .scenarios import SCENARIOS, ex51_domain, ex52_domain, run_scenario
 from .surround import check_spl, check_nested_domains
 
 __all__ = ["main"]
-
-_HEURISTIC_NOTE = ("finite-budget heuristic: verdicts are evidence from "
-                   "finitely many iterates, not proof")
 
 
 def _parse_floats(text: str, count: int, what: str) -> list[float]:
@@ -134,6 +132,8 @@ def _domain_args(p: argparse.ArgumentParser) -> None:
                    help="first family index (ex51 default 2, ex52 default 0)")
     p.add_argument("--n-hi", type=int, default=None,
                    help="last family index inclusive (ex51 default 6, ex52 default 3)")
+    p.add_argument("--density", type=_positive_flag, default=4.0)
+    p.add_argument("--probe-grid", type=_int_at_least(1), default=5)
 
 
 def _domains_of(args) -> list:
@@ -222,8 +222,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="nested-domain surrounding conditions")
     p.add_argument("--f", required=True)
     _domain_args(p)
-    p.add_argument("--density", type=_positive_flag, default=4.0)
-    p.add_argument("--probe-grid", type=_int_at_least(1), default=5)
     p.add_argument("--emit-curves", action="store_true",
                    help="also write boundary and image curve CSVs")
 
@@ -231,8 +229,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="strongly-polynomial-like conditions")
     p.add_argument("--f", required=True)
     _domain_args(p)
-    p.add_argument("--density", type=_positive_flag, default=4.0)
-    p.add_argument("--probe-grid", type=_int_at_least(1), default=5)
 
     p = sub.add_parser("orbit", help="iterate one orbit")
     p.add_argument("--f", required=True)
@@ -335,15 +331,10 @@ def _cmd_minmod(args, outdir):
     f = parse_expr(args.f)
     lo = min_modulus(f, args.r, args.n_coarse, args.tol)
     hi = max_modulus(f, args.r, args.n_coarse, args.tol)
-
-    def enc(e):
-        return {"value": e.value, "arg_extremum": e.arg_extremum,
-                "samples_used": e.samples_used, "refined": e.refined,
-                "evaluations": e.evaluations, "stop": e.stop}
-
     report = {"kind": "minmod", "function": args.f, "radius": args.r,
               "n_coarse": args.n_coarse, "tol": args.tol,
-              "minimum": enc(lo), "maximum": enc(hi)}
+              "minimum": fileio.encode_extremum(lo),
+              "maximum": fileio.encode_extremum(hi)}
     return 0, report, "minmod.json"
 
 
@@ -355,10 +346,7 @@ def _cmd_minmod_iterate(args, outdir):
                         rep.sequence)
     report = {"kind": "minmod_iterate", "function": args.f, "r0": args.r0,
               "n_max": args.n_max, "blow_up": args.blow_up,
-              "verdict": rep.verdict, "witness": rep.witness,
-              "sequence": list(rep.sequence),
-              "arguments": list(rep.arguments),
-              "heuristic_note": _HEURISTIC_NOTE}
+              **fileio.encode_iteration(rep)}
     return 0, report, "minmod_iterate.json"
 
 
@@ -366,13 +354,9 @@ def _cmd_disc_seq(args, outdir):
     f = parse_expr(args.f)
     seq = _refusable("cannot iterate", derive_disc_sequence, f, args.r0,
                      args.count, args.n_coarse, args.tol)
-    fileio.sequence_csv(os.path.join(outdir, "disc_seq.csv"),
-                        [d.radius for d in seq.discs])
     report = {"kind": "disc_seq", "function": args.f, "r0": args.r0,
-              "count": args.count,
-              "radii": [d.radius for d in seq.discs],
-              "verdict": seq.report.verdict, "witness": seq.report.witness,
-              "heuristic_note": _HEURISTIC_NOTE}
+              "count": args.count, **fileio.encode_disc_sequence(seq)}
+    fileio.sequence_csv(os.path.join(outdir, "disc_seq.csv"), report["radii"])
     return 0, report, "disc_seq.json"
 
 
@@ -391,7 +375,7 @@ def _cmd_surround_check(args, outdir):
               "domains": [fileio.encode_domain(d) for d in domains],
               "density": args.density, "probe_grid": args.probe_grid,
               **fileio.encode_nested_report(rep)}
-    return (0 if rep.verdict else 1), report, "surround_check.json"
+    return (0 if report["verdict"] else 1), report, "surround_check.json"
 
 
 def _cmd_spl_check(args, outdir):
@@ -403,7 +387,7 @@ def _cmd_spl_check(args, outdir):
               "domains": [fileio.encode_domain(d) for d in domains],
               "density": args.density, "probe_grid": args.probe_grid,
               **fileio.encode_spl_report(rep)}
-    ok = rep.condition_i and rep.condition_iii
+    ok = report["condition_i"] and report["condition_iii"]
     return (0 if ok else 1), report, "spl_check.json"
 
 
@@ -413,21 +397,9 @@ def _cmd_orbit(args, outdir):
     verdict = iterate_orbit(f, args.z0, policy, keep_trace=args.trace)
     if args.trace and verdict.trace:
         fileio.orbit_csv(os.path.join(outdir, "orbit.csv"), verdict.trace)
-    report = {
-        "kind": "orbit", "function": args.f,
-        "z0": fileio.encode_complex(args.z0),
-        "policy": fileio.encode_policy(policy),
-        "verdict": {
-            "kind": verdict.kind,
-            "escape_step": verdict.escape_step,
-            "escape_modulus": verdict.escape_modulus,
-            "period": verdict.period,
-            "representative": (fileio.encode_complex(verdict.representative)
-                               if verdict.representative is not None else None),
-            "max_modulus": verdict.max_modulus,
-        },
-        "classification": class_of_verdict(verdict, policy).name,
-    }
+    report = {"kind": "orbit", "function": args.f,
+              "z0": fileio.encode_complex(args.z0),
+              **fileio.encode_orbit(verdict, policy)}
     return 0, report, "orbit.json"
 
 
@@ -435,18 +407,10 @@ def _cmd_fixed_points(args, outdir):
     f = parse_expr(args.f)
     records = find_fixed_points(f, args.rect, args.seeds, args.newton_tol,
                                 args.max_newton)
-    report = {
-        "kind": "fixed_points", "function": args.f,
-        "region": fileio.encode_domain(args.rect),
-        "seeds_per_axis": args.seeds, "newton_tol": args.newton_tol,
-        "fixed_points": [
-            {"location": fileio.encode_complex(r.location),
-             "multiplier": fileio.encode_complex(r.multiplier),
-             "classification": r.classification,
-             "residual": r.residual}
-            for r in records
-        ],
-    }
+    report = {"kind": "fixed_points", "function": args.f,
+              "region": fileio.encode_domain(args.rect),
+              "seeds_per_axis": args.seeds, "newton_tol": args.newton_tol,
+              "fixed_points": [fileio.encode_fixed_point(r) for r in records]}
     return 0, report, "fixed_points.json"
 
 
@@ -461,16 +425,15 @@ def _cmd_render(args, outdir):
         overlay = boundary_pixels(pc, args.overlay_boundary)
     ppm = f"{args.prefix}.ppm"
     npz = f"{args.prefix}.npz"
-    write_ppm(os.path.join(outdir, ppm), pc, overlay)
+    fileio.write_ppm(os.path.join(outdir, ppm), pc, overlay)
     fileio.save_classification(os.path.join(outdir, npz), pc)
-    counts = {c.name: int(np.sum(pc.classes == int(c))) for c in PointClass}
     report = {"kind": "render_meta", "function": args.f,
-              "window": [args.window.x_min, args.window.x_max,
-                         args.window.y_min, args.window.y_max],
+              "window": list(args.window.bounding_box()),
               "nx": args.nx, "ny": args.ny,
               "policy": fileio.encode_policy(policy),
               "aspect_distortion": grid.aspect_distortion,
-              "counts": counts, "files": {"ppm": ppm, "npz": npz}}
+              "counts": fileio.encode_counts(pc),
+              "files": {"ppm": ppm, "npz": npz}}
     return 0, report, f"{args.prefix}.json"
 
 
@@ -493,17 +456,9 @@ def _label_input(args, outdir):
 
 def _cmd_components(args, outdir):
     lab = _label_input(args, outdir)
-    report = {
-        "kind": "components", "input": args.input,
-        "target": args.target.name, "connectivity": args.connectivity,
-        "component_count": len(lab.census),
-        "census": [
-            {"component_id": s.component_id, "pixels": s.pixels,
-             "bbox": list(s.bbox),
-             "touches_window_edge": s.touches_window_edge}
-            for s in lab.census
-        ],
-    }
+    report = {"kind": "components", "input": args.input,
+              "target": args.target.name, "connectivity": args.connectivity,
+              **fileio.encode_labeling(lab)}
     return 0, report, "components.json"
 
 
@@ -513,15 +468,10 @@ def _cmd_sw_probe(args, outdir):
         rep = spiders_web_probe(lab, args.center, args.radii)
     except (InvalidRadius, RadiusOutsideWindow) as exc:
         raise SystemExit2(f"bad --radii: {exc}") from exc
-    report = {
-        "kind": "sw_probe", "input": args.input, "target": args.target.name,
-        "connectivity": args.connectivity,
-        "center": fileio.encode_complex(args.center), "radii": args.radii,
-        "per_radius": [{"radius": r, "surrounded": s}
-                       for r, s in rep.per_radius],
-        "verdict": rep.verdict, "component_id": rep.component_id,
-        "heuristic_note": _HEURISTIC_NOTE,
-    }
+    report = {"kind": "sw_probe", "input": args.input,
+              "target": args.target.name, "connectivity": args.connectivity,
+              "center": fileio.encode_complex(args.center),
+              "radii": args.radii, **fileio.encode_probe(rep)}
     return 0, report, "sw_probe.json"
 
 
@@ -549,27 +499,14 @@ _COMMANDS = {
 
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        argv = _expand_config(argv)
-        args = parser.parse_args(argv)
-    except SystemExit2 as exc:
-        print(json.dumps({"kind": "error", "error_type": "usage",
-                          "message": str(exc)}), file=sys.stderr)
-        return 2
+        args = _build_parser().parse_args(_expand_config(argv))
+        outdir = args.out or os.environ.get("ORBITPLANE_OUT") or "."
+        os.makedirs(outdir, exist_ok=True)
+        code, report, fname = _COMMANDS[args.command](args, outdir)
     except SystemExit as exc:
         # argparse already printed its message
         return 2 if exc.code not in (0, None) else 0
-
-    outdir = args.out or os.environ.get("ORBITPLANE_OUT") or "."
-    os.makedirs(outdir, exist_ok=True)
-    try:
-        code, report, fname = _COMMANDS[args.command](args, outdir)
-    except (ExprSyntaxError, NonEntireError) as exc:
-        report = {"kind": "error", "error_type": type(exc).__name__,
-                  "message": str(exc)}
-        print(fileio.report_json(report), end="")
-        return 2
     except SystemExit2 as exc:
         print(json.dumps({"kind": "error", "error_type": "usage",
                           "message": str(exc)}), file=sys.stderr)
@@ -577,6 +514,9 @@ def main(argv: list[str] | None = None) -> int:
     except OrbitPlaneError as exc:
         report = {"kind": "error", "error_type": type(exc).__name__,
                   "message": str(exc)}
+        if isinstance(exc, (ExprSyntaxError, NonEntireError)):
+            print(fileio.report_json(report), end="")
+            return 2
         print(fileio.write_json_report(os.path.join(outdir, "error.json"),
                                        report), end="")
         return 1

@@ -243,15 +243,26 @@ def _trace_outer_polygon(rects: tuple[Rect, ...]) -> list[complex]:
 # Geometry queries
 # ---------------------------------------------------------------------------
 
+def _seg_point(p, q, r):
+    """Distance from point ``r`` to the segment [p, q], broadcasting."""
+    pq = q - p
+    denom = np.abs(pq) ** 2
+    denom = np.where(denom == 0, 1.0, denom)
+    t = np.clip(((r - p) * np.conj(pq)).real / denom, 0.0, 1.0)
+    return np.abs(r - (p + t * pq))
+
+
 def _point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Distances from each point to the nearest of the segments (a[k], b[k])."""
-    p = points[:, None]
-    a, b = a[None, :], b[None, :]
-    ab = b - a
-    denom = np.abs(ab) ** 2
-    t = np.clip(((p - a) * np.conj(ab)).real / denom, 0.0, 1.0)
-    proj = a + t * ab
-    return np.min(np.abs(p - proj), axis=1)
+    return np.min(_seg_point(a[None, :], b[None, :], points[:, None]), axis=1)
+
+
+def _cell_centers(domain: DomainSpec, k: int) -> np.ndarray:
+    """Centers of k x k equal cells over the bounding box, row-major."""
+    x0, x1, y0, y1 = domain.bounding_box()
+    xs = x0 + (np.arange(k) + 0.5) * (x1 - x0) / k
+    ys = y0 + (np.arange(k) + 0.5) * (y1 - y0) / k
+    return (xs[None, :] + 1j * ys[:, None]).ravel()
 
 
 def contains(domain: DomainSpec, points, closed: bool = True) -> np.ndarray:
@@ -368,16 +379,9 @@ def _segment_segment_distance(a1: np.ndarray, b1: np.ndarray,
     o4 = orient(p2, q2, q1)
     crossing = (o1 * o2 < 0) & (o3 * o4 < 0)
 
-    def seg_point(p, q, r):
-        pq = q - p
-        denom = np.abs(pq) ** 2
-        denom = np.where(denom == 0, 1.0, denom)
-        t = np.clip(((r - p) * np.conj(pq)).real / denom, 0.0, 1.0)
-        return np.abs(r - (p + t * pq))
-
     d = np.minimum.reduce([
-        seg_point(p1, q1, p2), seg_point(p1, q1, q2),
-        seg_point(p2, q2, p1), seg_point(p2, q2, q1),
+        _seg_point(p1, q1, p2), _seg_point(p1, q1, q2),
+        _seg_point(p2, q2, p1), _seg_point(p2, q2, q1),
     ])
     d = np.where(crossing, 0.0, d)
     return np.min(d, axis=1)

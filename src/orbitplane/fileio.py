@@ -1,10 +1,12 @@
-"""File emission: atomic writes, CSV and JSON formats, report encoders,
-render archives.
+"""Every report and file format: JSON report encoders, atomic writes,
+CSV, PPM images and render archives.
 
-All writes go through a write-then-rename so a failed run never leaves a
-partial file behind.  Floats are formatted with 17 significant digits,
-which round-trips IEEE doubles exactly; no output embeds timestamps or
-randomness, so repeated runs with identical flags are byte-identical.
+``cli`` and the scenarios compute results; the encoders here turn them
+into report dicts.  All writes go through a write-then-rename so a
+failed run never leaves a partial file behind.  Floats are formatted
+with 17 significant digits, which round-trips IEEE doubles exactly; no
+output embeds timestamps or randomness, so repeated runs with identical
+flags are byte-identical.
 """
 
 from __future__ import annotations
@@ -20,30 +22,36 @@ from typing import Iterable
 import numpy as np
 
 from .domains import Disc, DomainSpec, Rect
-from .orbits import OrbitPolicy
-from .raster import GridSpec, PixelClassification
-from .surround import NestedDomainsReport, SplReport
+from .modulus import DiscSequence, MinModIterationReport, RadialExtremum
+from .orbits import (FixedPointRecord, OrbitPolicy, OrbitVerdict, PointClass,
+                     class_of_verdict)
+from .raster import (ComponentLabeling, PixelClassification, SpidersWebReport,
+                     classification_from_array)
+from .surround import NestedDomainsReport, SplReport, SurroundReport
 
 __all__ = [
-    "fmt",
-    "atomic_write_bytes",
-    "atomic_write_text",
-    "report_json",
-    "write_json_report",
-    "write_csv",
-    "curves_csv",
-    "sequence_csv",
-    "orbit_csv",
-    "save_classification",
-    "load_classification",
-    "schema_text",
-    "encode_complex",
-    "encode_domain",
-    "encode_surround_report",
-    "encode_nested_report",
-    "encode_spl_report",
-    "encode_policy",
+    # files
+    "fmt", "atomic_write_bytes", "atomic_write_text", "report_json",
+    "write_json_report", "write_csv", "curves_csv", "sequence_csv",
+    "orbit_csv", "write_ppm", "PALETTE", "save_classification",
+    "load_classification", "schema_text",
+    # report encoders
+    "encode_complex", "encode_domain", "encode_policy", "encode_extremum",
+    "encode_iteration", "encode_disc_sequence", "encode_surround_report",
+    "encode_nested_report", "encode_spl_report", "encode_orbit",
+    "encode_fixed_point", "encode_counts", "encode_labeling", "encode_probe",
 ]
+
+_HEURISTIC_NOTE = ("finite-budget heuristic: verdicts are evidence from "
+                   "finitely many iterates, not proof")
+
+# Fixed output palette (PPM): class -> RGB.
+PALETTE = {
+    PointClass.UNBOUNDED_SUSPECT: (255, 255, 255),
+    PointClass.BOUNDED_SUSPECT: (0, 0, 0),
+    PointClass.UNDECIDED: (128, 128, 128),
+}
+BOUNDARY_RGB = (255, 0, 0)
 
 
 def fmt(x: float) -> str:
@@ -68,7 +76,7 @@ def encode_domain(domain: DomainSpec) -> dict:
             "label": domain.label}
 
 
-def encode_surround_report(report) -> dict:
+def encode_surround_report(report: SurroundReport) -> dict:
     return {
         "verdict": report.verdict,
         "min_distance": report.min_distance,
@@ -76,6 +84,8 @@ def encode_surround_report(report) -> dict:
         "windings": [{"probe": encode_complex(p), "winding": w}
                      for p, w in report.winding_values],
         "probes_tested": report.probes_tested,
+        "refine_stop": report.refine_stop,
+        "curve_points": report.curve_points,
         "note": report.note,
     }
 
@@ -111,6 +121,70 @@ def encode_spl_report(report: SplReport) -> dict:
 def encode_policy(policy: OrbitPolicy) -> dict:
     return {"budget": policy.budget, "escape_radius": policy.escape_radius,
             "cycle_tol": policy.cycle_tol, "cycle_window": policy.cycle_window}
+
+
+def encode_extremum(extremum: RadialExtremum) -> dict:
+    return {"value": extremum.value, "arg_extremum": extremum.arg_extremum,
+            "samples_used": extremum.samples_used, "refined": extremum.refined,
+            "evaluations": extremum.evaluations, "stop": extremum.stop}
+
+
+def encode_iteration(report: MinModIterationReport) -> dict:
+    return {"verdict": report.verdict, "witness": report.witness,
+            "sequence": list(report.sequence),
+            "arguments": list(report.arguments),
+            "heuristic_note": _HEURISTIC_NOTE}
+
+
+def encode_disc_sequence(sequence: DiscSequence) -> dict:
+    return {"radii": [d.radius for d in sequence.discs],
+            "verdict": sequence.report.verdict,
+            "witness": sequence.report.witness,
+            "heuristic_note": _HEURISTIC_NOTE}
+
+
+def encode_orbit(verdict: OrbitVerdict, policy: OrbitPolicy) -> dict:
+    rep = verdict.representative
+    return {
+        "policy": encode_policy(policy),
+        "verdict": {
+            "kind": verdict.kind,
+            "escape_step": verdict.escape_step,
+            "escape_modulus": verdict.escape_modulus,
+            "period": verdict.period,
+            "representative": None if rep is None else encode_complex(rep),
+            "max_modulus": verdict.max_modulus,
+        },
+        "classification": class_of_verdict(verdict, policy).name,
+    }
+
+
+def encode_fixed_point(record: FixedPointRecord) -> dict:
+    return {"location": encode_complex(record.location),
+            "multiplier": encode_complex(record.multiplier),
+            "classification": record.classification,
+            "residual": record.residual}
+
+
+def encode_counts(classification: PixelClassification) -> dict:
+    """Pixels per class, keyed by class name."""
+    return {c.name: int(np.sum(classification.classes == int(c)))
+            for c in PointClass}
+
+
+def encode_labeling(labeling: ComponentLabeling) -> dict:
+    return {"component_count": len(labeling.census),
+            "census": [{"component_id": s.component_id, "pixels": s.pixels,
+                        "bbox": list(s.bbox),
+                        "touches_window_edge": s.touches_window_edge}
+                       for s in labeling.census]}
+
+
+def encode_probe(report: SpidersWebReport) -> dict:
+    return {"per_radius": [{"radius": r, "surrounded": s}
+                           for r, s in report.per_radius],
+            "verdict": report.verdict, "component_id": report.component_id,
+            "heuristic_note": _HEURISTIC_NOTE}
 
 
 def _umask() -> int:
@@ -168,14 +242,13 @@ def write_csv(path, header: list[str], rows: Iterable[Iterable]) -> None:
 
 def curves_csv(path, curves) -> None:
     """CSV of one or more curves: re,im rows, blank line between curves."""
-    buf = io.StringIO()
-    buf.write("re,im\r\n")
-    for k, curve in enumerate(curves):
-        if k:
-            buf.write("\r\n")
-        for p in curve.points:
-            buf.write(f"{fmt(p.real)},{fmt(p.imag)}\r\n")
-    atomic_write_text(path, buf.getvalue())
+    def rows():
+        for k, curve in enumerate(curves):
+            if k:
+                yield ()
+            for p in curve.points:
+                yield fmt(p.real), fmt(p.imag)
+    write_csv(path, ["re", "im"], rows())
 
 
 def sequence_csv(path, values) -> None:
@@ -186,6 +259,25 @@ def sequence_csv(path, values) -> None:
 def orbit_csv(path, trace) -> None:
     write_csv(path, ["n", "re", "im"],
               ((n, fmt(z.real), fmt(z.imag)) for n, z in enumerate(trace)))
+
+
+def write_ppm(path, classification: PixelClassification,
+              boundary_overlay: np.ndarray | None = None) -> None:
+    """Binary P6 image, maxval 255, top row = largest imaginary part.
+
+    Palette: unbounded suspect white, bounded suspect black, undecided
+    gray; the optional boundary overlay is drawn red on top.
+    """
+    classes = classification.classes
+    ny, nx = classes.shape
+    rgb = np.zeros((ny, nx, 3), dtype=np.uint8)
+    for cls, color in PALETTE.items():
+        rgb[classes == int(cls)] = color
+    if boundary_overlay is not None:
+        rgb[boundary_overlay] = BOUNDARY_RGB
+    rgb = rgb[::-1]  # image rows run top-down
+    header = f"P6\n{nx} {ny}\n255\n".encode("ascii")
+    atomic_write_bytes(path, header + rgb.tobytes())
 
 
 def _deterministic_npz(arrays: dict[str, np.ndarray]) -> bytes:
@@ -202,12 +294,10 @@ def _deterministic_npz(arrays: dict[str, np.ndarray]) -> bytes:
 
 def save_classification(path, classification: PixelClassification) -> None:
     """Archive a pixel classification (npz) for the census subcommands."""
-    grid = classification.grid
     pol = classification.policy
     data = _deterministic_npz({
         "classes": classification.classes,
-        "window": np.array([grid.window.x_min, grid.window.x_max,
-                            grid.window.y_min, grid.window.y_max]),
+        "window": np.array(classification.grid.window.bounding_box()),
         "policy": np.array([pol.budget, pol.escape_radius, pol.cycle_tol,
                             pol.cycle_window]),
     })
@@ -216,13 +306,12 @@ def save_classification(path, classification: PixelClassification) -> None:
 
 def load_classification(path) -> PixelClassification:
     with np.load(path) as data:
-        classes = data["classes"].astype(np.uint8)
+        classes = data["classes"]
         x0, x1, y0, y1 = (float(v) for v in data["window"])
         budget, escape, tol, window = (float(v) for v in data["policy"])
-    ny, nx = classes.shape
-    grid = GridSpec(Rect(x0, x1, y0, y1), nx, ny)
-    policy = OrbitPolicy(int(budget), escape, tol, int(window))
-    return PixelClassification(grid, classes, policy)
+    return classification_from_array(
+        classes, Rect(x0, x1, y0, y1),
+        OrbitPolicy(int(budget), escape, tol, int(window)))
 
 
 def schema_text() -> str:

@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .domains import DomainSpec, contains
+from .domains import DomainSpec, _cell_centers, contains
 from .expressions import FunctionExpression, evaluate, evaluate_with_overflow
 
 __all__ = [
@@ -354,11 +354,7 @@ def find_fixed_points(f: FunctionExpression, region: DomainSpec,
     if seeds_per_axis < 1:
         raise ValueError("seeds_per_axis must be at least 1")
     df = f.derivative()
-    x0, x1, y0, y1 = region.bounding_box()
-    k = seeds_per_axis
-    xs = x0 + (np.arange(k) + 0.5) * (x1 - x0) / k
-    ys = y0 + (np.arange(k) + 0.5) * (y1 - y0) / k
-    z = (xs[None, :] + 1j * ys[:, None]).ravel()
+    z = _cell_centers(region, seeds_per_axis)
 
     # Iterate every seed the full budget (cheap, and lets multiple roots
     # polish as far as the degenerate derivative allows); the residual

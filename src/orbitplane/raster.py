@@ -8,7 +8,8 @@ uncertainty cannot merge components); its boundary is the pixel-level
 Julia set.  The spider's-web probe labels the framed complement of the
 largest component under the dual connectivity: a radius is surrounded
 when the center pixel's complement component misses the frame.  Radii
-at or below half the pixel diagonal are rejected.
+at or below half the pixel diagonal are rejected.  This module only
+computes; ``fileio`` writes the images and archives of its results.
 """
 
 from __future__ import annotations
@@ -35,17 +36,7 @@ __all__ = [
     "boundary_pixels",
     "spiders_web_probe",
     "classification_from_array",
-    "write_ppm",
-    "PALETTE",
 ]
-
-# Fixed output palette (PPM): class -> RGB.
-PALETTE = {
-    PointClass.UNBOUNDED_SUSPECT: (255, 255, 255),
-    PointClass.BOUNDED_SUSPECT: (0, 0, 0),
-    PointClass.UNDECIDED: (128, 128, 128),
-}
-BOUNDARY_RGB = (255, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -327,26 +318,3 @@ def spiders_web_probe(labeling: ComponentLabeling, center: complex,
         results.append((r, bool(labels[iy, ix] != labels[0, 0])))
     return SpidersWebReport(center, tuple(results), all(ok for _, ok in results), cid)
 
-
-# ---------------------------------------------------------------------------
-# PPM output
-# ---------------------------------------------------------------------------
-
-def write_ppm(path, classification: PixelClassification,
-              boundary_overlay: np.ndarray | None = None) -> None:
-    """Binary P6 image, maxval 255, top row = largest imaginary part.
-
-    Palette: unbounded suspect white, bounded suspect black, undecided
-    gray; the optional boundary overlay is drawn red on top.
-    """
-    classes = classification.classes
-    ny, nx = classes.shape
-    rgb = np.zeros((ny, nx, 3), dtype=np.uint8)
-    for cls, color in PALETTE.items():
-        rgb[classes == int(cls)] = color
-    if boundary_overlay is not None:
-        rgb[boundary_overlay] = BOUNDARY_RGB
-    rgb = rgb[::-1]  # image rows run top-down
-    header = f"P6\n{nx} {ny}\n255\n".encode("ascii")
-    from .fileio import atomic_write_bytes
-    atomic_write_bytes(path, header + rgb.tobytes())

@@ -32,7 +32,7 @@ from .modulus import DIVERGES, iterate_min_modulus
 from .orbits import (OrbitPolicy, PointClass, REPELLING, SUPERATTRACTING,
                      find_fixed_points)
 from .raster import (GridSpec, boundary_pixels, classify_grid,
-                     label_components, spiders_web_probe, write_ppm)
+                     label_components, spiders_web_probe)
 from .surround import check_spl, check_nested_domains
 
 __all__ = [
@@ -187,10 +187,7 @@ def _run_ex52(emit) -> dict:
                 and abs(rec.multiplier - mult) <= 1e-8
                 and rec.classification == cls)
         fp_ok &= good
-        rows.append({"location": fileio.encode_complex(rec.location),
-                     "multiplier": fileio.encode_complex(rec.multiplier),
-                     "classification": rec.classification,
-                     "residual": rec.residual, "matches_expected": good})
+        rows.append({**fileio.encode_fixed_point(rec), "matches_expected": good})
     checks.append(_check("fixed_points", fp_ok, records=rows,
                          expected_count=4, location_tolerance=1e-8))
 
@@ -205,7 +202,7 @@ def _run_sinz(emit) -> dict:
     pc = classify_grid(f, grid, policy)
 
     overlay = boundary_pixels(pc, PointClass.UNBOUNDED_SUSPECT)
-    emit("sinz_render.ppm", lambda p: write_ppm(p, pc, overlay))
+    emit("sinz_render.ppm", lambda p: fileio.write_ppm(p, pc, overlay))
     emit("sinz_render.npz", lambda p: fileio.save_classification(p, pc))
 
     # Real-axis band bounded: both pixel rows nearest Im z = 0.
@@ -247,8 +244,7 @@ def _run_sinz(emit) -> dict:
     # axis blocks them).
     probe = spiders_web_probe(labeling, 0j, [2.0, 4.0])
     checks.append(_check("no_spiders_web", not probe.verdict,
-                         per_radius=[{"radius": r, "surrounded": s}
-                                     for r, s in probe.per_radius]))
+                         per_radius=fileio.encode_probe(probe)["per_radius"]))
 
     # Resolution probe: component counts as the column count doubles
     # (reported, not asserted).  The finest grid is the one classified

@@ -28,9 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import SampledCurve, image_curve, refine, winding_numbers
-from .domains import (DomainSpec, _curve_distance, boundary, clearance,
-                      contains, contains_closure, diameter, inradius_about,
-                      interior_point)
+from .domains import (DomainSpec, _cell_centers, _curve_distance, boundary,
+                      clearance, contains, contains_closure, diameter,
+                      inradius_about, interior_point)
 from .errors import CurveTooClose
 from .expressions import FunctionExpression
 
@@ -62,7 +62,9 @@ class SurroundReport:
     ``max_penetration`` is the deepest incursion of any curve sample into
     the open domain (zero when no sample is inside).  With the default
     strict settings the verdict is true iff ``min_distance > 0`` and all
-    probe windings are nonzero and unanimous.
+    probe windings are nonzero and unanimous.  ``refine_stop`` says why
+    chord refinement of the curve stopped (see :func:`curves.refine`)
+    and ``curve_points`` how many samples the refined curve has.
     """
 
     verdict: bool
@@ -70,15 +72,13 @@ class SurroundReport:
     max_penetration: float
     winding_values: tuple[tuple[complex, int], ...]
     probes_tested: int
+    refine_stop: str
+    curve_points: int
     note: str = ""
 
 
 def _probe_points(domain: DomainSpec, probe_grid: int) -> np.ndarray:
-    x0, x1, y0, y1 = domain.bounding_box()
-    k = max(1, int(probe_grid))
-    xs = x0 + (np.arange(k) + 0.5) * (x1 - x0) / k
-    ys = y0 + (np.arange(k) + 0.5) * (y1 - y0) / k
-    grid = (xs[None, :] + 1j * ys[:, None]).ravel()
+    grid = _cell_centers(domain, max(1, int(probe_grid)))
     keep = contains(domain, grid, closed=False)
     probes = grid[keep]
     if probes.size == 0:
@@ -124,7 +124,7 @@ def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
 
     # refine calls too_long last on the curve it returns, so ``c`` holds
     # that curve's clearances.
-    work, _ = refine(curve, too_long, max_points, _REFINE_ROUNDS)
+    work, stop = refine(curve, too_long, max_points, _REFINE_ROUNDS)
     max_penetration = float(max(0.0, -np.min(c)))
     min_distance = _curve_distance(work, domain, c)
 
@@ -151,6 +151,8 @@ def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
         max_penetration=max_penetration,
         winding_values=tuple(windings),
         probes_tested=len(probes),
+        refine_stop=stop,
+        curve_points=len(work),
         note=FINITE_HORIZON_NOTE,
     )
 

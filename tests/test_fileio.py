@@ -9,8 +9,9 @@ from orbitplane import fileio
 from orbitplane.curves import SampledCurve
 from orbitplane.domains import Rect
 from orbitplane.orbits import OrbitPolicy, PointClass
+from orbitplane.fileio import write_ppm
 from orbitplane.raster import (GridSpec, PixelClassification,
-                               classification_from_array, write_ppm)
+                               classification_from_array)
 
 
 def test_fmt_round_trips_doubles():
@@ -115,3 +116,27 @@ def test_schema_is_valid_jsonschema():
     jsonschema = pytest.importorskip("jsonschema")
     schema = json.loads(fileio.schema_text())
     jsonschema.Draft202012Validator.check_schema(schema)
+
+
+def _schema_objects(node, path="#"):
+    if isinstance(node, dict):
+        yield path, node
+        for key, value in node.items():
+            yield from _schema_objects(value, f"{path}/{key}")
+    elif isinstance(node, list):
+        for k, value in enumerate(node):
+            yield from _schema_objects(value, f"{path}/{k}")
+
+
+def test_schema_objects_with_properties_are_closed():
+    schema = json.loads(fileio.schema_text())
+    open_objects, unknown_required = [], []
+    for path, node in _schema_objects(schema):
+        if "properties" not in node:
+            continue
+        if node.get("additionalProperties") is not False:
+            open_objects.append(path)
+        if not set(node.get("required", ())) <= set(node["properties"]):
+            unknown_required.append(path)
+    assert open_objects == []
+    assert unknown_required == []

@@ -111,6 +111,31 @@ def test_nested_domains_sin_refinement_pinned(monkeypatch, density, refined):
             for p in rep.pairs] == list(SIN_CHAIN_WINDINGS)
 
 
+@pytest.mark.parametrize("source, domains, density, spl, stops, points, verdicts", [
+    ("sin(z)", [Disc(0j, 1.0), Disc(0j, 2.0), Disc(0j, 3.0)], 8.0, False,
+     ["converged", "rounds"], [51, 967], [False, False]),
+    # The images of |z| = 2 and 4 lie exactly on the target circles, so
+    # refinement runs out of points although the verdicts are true.
+    ("z^2", [Disc(0j, 2.0), Disc(0j, 4.0), Disc(0j, 16.0)], 8.0, False,
+     ["budget", "budget"], [103_424, 103_424], [True, True]),
+    ("-10*z*exp(-z) - 0.5*z", [ex51_domain(n) for n in range(2, 7)], 4.0,
+     False, ["converged"] * 4, None, [True] * 4),
+    ("cos(z) + z", [ex52_domain(n) for n in range(4)], 4.0, True,
+     ["converged"] * 4, None, [True] * 4),
+], ids=["sin-discs", "squaring-discs", "ex51", "ex52"])
+def test_surround_reports_say_why_refinement_stopped(source, domains, density,
+                                                     spl, stops, points,
+                                                     verdicts):
+    if spl:
+        pairs = check_spl(parse(source), domains, density).self_surround
+    else:
+        pairs = check_nested_domains(parse(source), domains, density).pairs
+    assert [p.report.refine_stop for p in pairs] == stops
+    if points is not None:
+        assert [p.report.curve_points for p in pairs] == points
+    assert [p.verdict for p in pairs] == verdicts
+
+
 def test_nested_domains_ex51(ex51):
     domains = [ex51_domain(n) for n in range(2, 7)]
     rep = check_nested_domains(ex51, domains, density=4.0, probe_grid=5)
