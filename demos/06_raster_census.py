@@ -2,6 +2,9 @@
 """Pixel pictures of the bounded/unbounded suspects for sin z.
 
 Every pixel center is classified by the finite-budget orbit heuristic.
+Orbits that enter a certified trap disc (here the two petal discs
+tangent at the parabolic fixed point 0) stop early: f maps each such
+disc into itself, so they are bounded.
 The real line stays bounded under sin and cuts the picture in two, so
 the unbounded-suspect census shows separate components above and below
 the axis, and no pixel cycle in that class can wind around the origin
@@ -28,6 +31,12 @@ pc = classify_grid(f, grid, policy)
 for cls in PointClass:
     count = int((pc.classes == int(cls)).sum())
     print(f"{cls.name:18} {count:6d} pixels")
+
+print("\ncertified trap discs (f maps each closed disc into itself):")
+for trap in pc.traps:
+    print(f"  {trap.kind:16} center {trap.center:.6g}  radius {trap.radius:.6g}")
+print(f"{pc.trapped} pixels stopped in a trap instead of iterating the "
+      "whole budget")
 
 edge = boundary_pixels(pc, PointClass.UNBOUNDED_SUSPECT)
 path = os.path.join(OUT, "sinz.ppm")

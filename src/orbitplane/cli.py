@@ -433,6 +433,7 @@ def _cmd_render(args, outdir):
               "policy": fileio.encode_policy(policy),
               "aspect_distortion": grid.aspect_distortion,
               "counts": fileio.encode_counts(pc),
+              **fileio.encode_traps(pc),
               "files": {"ppm": ppm, "npz": npz}}
     return 0, report, f"{args.prefix}.json"
 

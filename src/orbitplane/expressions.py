@@ -21,10 +21,11 @@ An expression is parsed once into a postfix *program*: a tuple of
 - ``("pow0", base)`` pushes x^0 = 1 for the base x, whose program it
   carries only to print it and to count its depth; x is never run.
 
-Four loops interpret a program, recursing only into a ``pow0`` base:
-``_run`` evaluates it, ``_source`` prints it, ``_derivative``
-differentiates it into another program and ``_depth`` measures its
-nesting.
+Six loops interpret a program, recursing only into a ``pow0`` base:
+``_run`` evaluates it, ``_enclose`` bounds it on rectangles with
+outward rounding, ``_exact`` evaluates it in rational arithmetic where
+that is exact, ``_source`` prints it, ``_derivative`` differentiates it
+into another program and ``_depth`` measures its nesting.
 
 Evaluation is total.  Intermediate overflow saturates to the largest
 representable magnitude and raises a flag instead of an exception, so
@@ -35,6 +36,7 @@ grid classification bit-identical with per-point classification.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -117,6 +119,227 @@ def _run(program: tuple, z: np.ndarray, overflow: np.ndarray) -> np.ndarray:
             push(acc)
         else:  # pow0
             push(np.ones(z.shape, dtype=np.complex128))
+    return pop()
+
+
+# exp, sin, cos, sinh and cosh from the platform's math library are
+# trusted to this many units in the last place; +, -, * and / are
+# correctly rounded, so one unit covers them.
+_LIBM_ULPS = 4
+
+# Real sin and cos bound their range by [-1, 1] beyond this modulus
+# instead of locating their extrema.
+_TRIG_REDUCE_MAX = 2.0 ** 40
+
+
+def _widen(lo, hi, ulps=1):
+    """[lo, hi] moved outward by ``ulps`` units in the last place."""
+    for _ in range(ulps):
+        lo = np.nextafter(lo, -np.inf)
+        hi = np.nextafter(hi, np.inf)
+    return lo, hi
+
+
+def _ihull(*values, ulps=1):
+    # np.minimum and np.maximum propagate NaN, so no bound is lost silently
+    return _widen(functools.reduce(np.minimum, values),
+                  functools.reduce(np.maximum, values), ulps)
+
+
+def _iadd(a, b):
+    return _widen(a[0] + b[0], a[1] + b[1])
+
+
+def _ineg(a):
+    return -a[1], -a[0]
+
+
+def _imul(a, b):
+    return _ihull(a[0] * b[0], a[0] * b[1], a[1] * b[0], a[1] * b[1])
+
+
+def _imonotone(fn, a):
+    return _widen(fn(a[0]), fn(a[1]), _LIBM_ULPS)
+
+
+def _icosh(a):
+    lo, hi = a
+    c_lo, c_hi = np.cosh(lo), np.cosh(hi)
+    least = np.where((lo <= 0) & (hi >= 0), 1.0, np.minimum(c_lo, c_hi))
+    least, most = _widen(least, np.maximum(c_lo, c_hi), _LIBM_ULPS)
+    return np.maximum(least, 1.0), most
+
+
+def _may_hold(lo, hi, at):
+    """Whether [lo, hi] may hold at + 2k pi for an integer k; errs to yes."""
+    t_lo = (lo - at) / (2 * np.pi)
+    t_hi = (hi - at) / (2 * np.pi)
+    slack = 2.0 ** -40 * (1.0 + np.maximum(np.abs(t_lo), np.abs(t_hi)))
+    return ((np.floor(t_hi + slack) >= np.ceil(t_lo - slack))
+            | (np.maximum(np.abs(lo), np.abs(hi)) > _TRIG_REDUCE_MAX))
+
+
+def _itrig(fn, a, peak):
+    """Range of sin (peak pi/2) or cos (peak 0) on [lo, hi], split at the
+    maxima peak + 2k pi and the minima peak + pi + 2k pi."""
+    lo, hi = a
+    least, most = _ihull(fn(lo), fn(hi), ulps=_LIBM_ULPS)
+    most = np.where(_may_hold(lo, hi, peak), 1.0, np.minimum(most, 1.0))
+    least = np.where(_may_hold(lo, hi, peak + np.pi), -1.0,
+                     np.maximum(least, -1.0))
+    return least, most
+
+
+def _settle(box):
+    """``box`` with each rectangle that has a non-finite bound made the
+    whole plane, so no enclosure rests on an overflowed value."""
+    finite = functools.reduce(np.logical_and, map(np.isfinite, box))
+    if finite.all():
+        return box
+    return tuple(np.where(finite, part, bound)
+                 for part, bound in zip(box, (-np.inf, np.inf) * 2))
+
+
+def _bmul(u, v):
+    x, y, p, q = u[:2], u[2:], v[:2], v[2:]
+    return (*_iadd(_imul(x, p), _ineg(_imul(y, q))),
+            *_iadd(_imul(x, q), _imul(y, p)))
+
+
+def _bdiv(u, c: complex):
+    """u / c as u times conj(c) / |c|^2, with |c|^2 enclosed; the whole
+    plane when |c|^2 under- or overflows."""
+    re, im = (c.real, c.real), (c.imag, c.imag)
+    n_lo, n_hi = _iadd(_imul(re, re), _imul(im, im))
+    if not 0 < n_lo <= n_hi < np.inf:
+        return (np.full(np.shape(u[0]), -np.inf), np.full(np.shape(u[0]), np.inf)) * 2
+    inverse = _widen(1 / n_hi, 1 / n_lo)
+    return _bmul(u, (*_imul(re, inverse), *_imul(_ineg(im), inverse)))
+
+
+def _bprim(op: str, u):
+    x, y = u[:2], u[2:]
+    if op == "exp":
+        e = _imonotone(np.exp, x)
+        return (*_imul(e, _itrig(np.cos, y, 0.0)),
+                *_imul(e, _itrig(np.sin, y, np.pi / 2)))
+    sin_x, cos_x = _itrig(np.sin, x, np.pi / 2), _itrig(np.cos, x, 0.0)
+    cosh_y, sinh_y = _icosh(y), _imonotone(np.sinh, y)
+    if op == "sin":  # sin x cosh y + i cos x sinh y
+        return (*_imul(sin_x, cosh_y), *_imul(cos_x, sinh_y))
+    return (*_imul(cos_x, cosh_y), *_ineg(_imul(sin_x, sinh_y)))
+
+
+def _enclose(program: tuple, boxes: tuple) -> tuple:
+    """Rectangles holding the values of ``program`` on the rectangles
+    ``boxes``.
+
+    A batch of rectangles is four 1-D float arrays (re lo, re hi, im lo,
+    im hi), and the result is one too.  Every rounded bound is moved
+    outward with ``np.nextafter``: one unit in the last place after
+    +, -, * and /, which IEEE arithmetic rounds correctly, and
+    ``_LIBM_ULPS`` units after exp, sin, cos, sinh and cosh.  Real sin
+    and cos take their extrema into account wherever the interval may
+    hold one.  So the result holds f(z) for every z of the rectangle.  A
+    rectangle with a bound that overflows or is undefined becomes the
+    whole plane (-inf, inf) x (-inf, inf), never a saturated finite
+    value, and no warning escapes.
+    """
+    shape = np.shape(boxes[0])
+
+    def point(c: complex):
+        re, im = np.full(shape, c.real), np.full(shape, c.imag)
+        return re, re, im, im
+
+    stack = []
+    push, pop = stack.append, stack.pop
+    with np.errstate(all="ignore"):
+        for op, arg in program:
+            if op == "z":
+                value = tuple(np.asarray(b, dtype=float) for b in boxes)
+            elif op == "const":
+                value = point(arg)
+            elif op == "pow0":
+                value = point(1.0)
+            elif op in _PRIMITIVES:
+                value = _bprim(op, pop())
+            elif op == "neg":
+                u = pop()
+                value = (*_ineg(u[:2]), *_ineg(u[2:]))
+            elif op == "div":
+                value = _bdiv(pop(), arg)
+            elif op == "pow":
+                sq, value = pop(), None
+                while arg:
+                    if arg & 1:
+                        value = sq if value is None else _settle(_bmul(value, sq))
+                    arg >>= 1
+                    if arg:
+                        sq = _settle(_bmul(sq, sq))
+            else:
+                v, u = pop(), pop()
+                if op == "mul":
+                    value = _bmul(u, v)
+                else:
+                    if op == "sub":
+                        v = (*_ineg(v[:2]), *_ineg(v[2:]))
+                    value = (*_iadd(u[:2], v[:2]), *_iadd(u[2:], v[2:]))
+            push(_settle(value))
+    return pop()
+
+
+def _qmul(u: tuple, v: tuple) -> tuple:
+    """Product of complex rationals, each a (re, im) pair of Fractions."""
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _exact(program: tuple, z: tuple):
+    """Exact value of ``program`` at the complex rational ``z``, or None.
+
+    Complex rationals are (re, im) pairs of ``fractions.Fraction``, the
+    type of z's parts, which takes float literals at their exact binary
+    value.  exp, sin and cos are rational only at 0 here, so any other
+    argument gives None.
+    """
+    rational = type(z[0])
+    zero, one = rational(0), rational(1)
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op, arg in program:
+        if op == "z":
+            push(z)
+        elif op == "const":
+            push((rational(arg.real), rational(arg.imag)))
+        elif op == "pow0":
+            push((one, zero))
+        elif op in _PRIMITIVES:
+            if any(pop()):
+                return None
+            push((zero if op == "sin" else one, zero))
+        elif op == "neg":
+            re, im = pop()
+            push((-re, -im))
+        elif op == "div":
+            re, im = rational(arg.real), rational(arg.imag)
+            n = re * re + im * im
+            x, y = _qmul(pop(), (re, -im))
+            push((x / n, y / n))
+        elif op == "pow":
+            sq, value = pop(), (one, zero)
+            while arg:
+                if arg & 1:
+                    value = _qmul(value, sq)
+                arg >>= 1
+                if arg:
+                    sq = _qmul(sq, sq)
+            push(value)
+        else:
+            v, u = pop(), pop()
+            if op == "mul":
+                push(_qmul(u, v))
+            else:
+                sign = 1 if op == "add" else -1
+                push((u[0] + sign * v[0], u[1] + sign * v[1]))
     return pop()
 
 

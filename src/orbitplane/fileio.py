@@ -39,7 +39,8 @@ __all__ = [
     "encode_complex", "encode_domain", "encode_policy", "encode_extremum",
     "encode_iteration", "encode_disc_sequence", "encode_surround_report",
     "encode_nested_report", "encode_spl_report", "encode_orbit",
-    "encode_fixed_point", "encode_counts", "encode_labeling", "encode_probe",
+    "encode_fixed_point", "encode_counts", "encode_traps", "encode_labeling",
+    "encode_probe",
 ]
 
 _HEURISTIC_NOTE = ("finite-budget heuristic: verdicts are evidence from "
@@ -170,6 +171,14 @@ def encode_counts(classification: PixelClassification) -> dict:
     """Pixels per class, keyed by class name."""
     return {c.name: int(np.sum(classification.classes == int(c)))
             for c in PointClass}
+
+
+def encode_traps(classification: PixelClassification) -> dict:
+    """The certified trap discs a grid used and the pixels stopped in them."""
+    return {"traps": [{"center": encode_complex(t.center), "radius": t.radius,
+                       "kind": t.kind, "evidence": "certified"}
+                      for t in classification.traps],
+            "trapped": classification.trapped}
 
 
 def encode_labeling(labeling: ComponentLabeling) -> dict:

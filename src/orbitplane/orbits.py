@@ -13,6 +13,14 @@ The kernel looks for near-returns only at starts whose Re z lies within
 the tolerance of a running hull of their recent real parts, so orbits
 that drift monotonically, like those creeping towards a parabolic
 point, skip the history scan altogether.
+
+A grid may also stop a start early in a certified trap: a closed disc
+D = D(c, rho) that f provably maps into itself (see ``traps``), so an
+orbit that enters D stays there and is bounded; it is not in I+(f).
+The kernel stops such a start with the internal kind ``TRAPPED`` (class
+bounded suspect) only while its modulus so far, and every point of D,
+lie below escape_radius / 100, where the untrapped kernel would also
+have called it bounded.
 """
 
 from __future__ import annotations
@@ -49,6 +57,7 @@ __all__ = [
 ESCAPED = "ESCAPED"
 CYCLE_LOCKED = "CYCLE_LOCKED"
 BUDGET_EXHAUSTED = "BUDGET_EXHAUSTED"
+TRAPPED = "TRAPPED"  # internal: only grids stop starts in traps
 
 SUPERATTRACTING = "superattracting"
 ATTRACTING = "attracting"
@@ -59,19 +68,26 @@ REPELLING = "repelling"
 _MULT_ZERO_TOL = 1e-8
 _MULT_UNIT_TOL = 1e-8
 
+# Newton divides by g' unscaled while its largest part is below 2^this.
+_SMITH_SAFE_EXPONENT = 1000
+
 # BUDGET_EXHAUSTED counts as bounded-suspect only with this much headroom.
 _BOUNDED_HEADROOM = 100.0
 
 _HUGE = float(np.finfo(np.float64).max)
 
 # Stop codes of the orbit kernel index this tuple of verdict kinds.
-_KINDS = (BUDGET_EXHAUSTED, ESCAPED, CYCLE_LOCKED)
-_BUDGET, _ESCAPED, _LOCKED = range(3)
+_KINDS = (BUDGET_EXHAUSTED, ESCAPED, CYCLE_LOCKED, TRAPPED)
+_BUDGET, _ESCAPED, _LOCKED, _TRAPPED = range(4)
 
 # History rows per near-return scan call: as many rows of the candidate
 # starts as fit in this many elements (at least one), so a few candidates
 # are scanned against their whole window in one call.
 _SCAN_BLOCK = 4096
+
+# Trap membership and the trap size bound are tested against values
+# shrunk by this factor, far more than their rounding.
+_SHRINK = 1.0 - 2.0 ** -40
 
 # The kernel compacts its per-start state once fewer than this share of
 # the starts in its working prefix are still active.
@@ -171,7 +187,7 @@ def class_of_verdict(verdict: OrbitVerdict, policy: OrbitPolicy) -> PointClass:
 
 def _classes(kind, max_modulus, policy: OrbitPolicy):
     """Point classes of kernel kind codes and max moduli (scalars or arrays)."""
-    bounded = (kind == _LOCKED) | (
+    bounded = (kind == _LOCKED) | (kind == _TRAPPED) | (
         max_modulus < policy.escape_radius / _BOUNDED_HEADROOM)
     return np.where(kind == _ESCAPED, PointClass.UNBOUNDED_SUSPECT,
                     np.where(bounded, PointClass.BOUNDED_SUSPECT,
@@ -188,8 +204,17 @@ _Stops = namedtuple("_Stops", "kind step escape_modulus period representative "
 # Differences of real parts near the largest float may overflow: -inf
 # keeps a start in the scan and +inf drops it, both rightly.
 @np.errstate(over="ignore")
-def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy) -> _Stops:
+def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
+             traps=()) -> _Stops:
     """The orbit kernel: iterate each start of the 1-D array ``z`` in place.
+
+    ``traps`` holds certified trap discs (``traps.TrapDisc``), each used
+    only if |center| + radius < escape_radius / 100; a start still alive after
+    the escape test stops as ``TRAPPED`` once it lies in a used trap and
+    its modulus so far is below escape_radius / 100.  Membership is
+    tested against the squared radius shrunk by 2^-40, more than the
+    rounding of the float test, so an accepted z lies in the closed disc.
+    With no traps the kernel does no trap work at all.
 
     Per-start state lives in the prefix ``[:nc]`` of its arrays and is
     compacted in place once few enough of those starts are still active.
@@ -205,6 +230,9 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy) -> _Stop
     the hits; the smallest confirmed lag wins.
     """
     n, w, tol = z.size, policy.cycle_window, policy.cycle_tol
+    inner = policy.escape_radius / _BOUNDED_HEADROOM
+    traps = [(t.center.real, t.center.imag, t.radius * t.radius * _SHRINK)
+             for t in traps if abs(t.center) + t.radius < inner * _SHRINK]
     kind = np.zeros(n, dtype=np.uint8)
     stop_step = np.zeros(n, dtype=np.int32)
     escape_modulus = np.zeros(n)
@@ -215,8 +243,9 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy) -> _Stop
     orig = np.arange(n)  # position -> start index
     alive = np.ones(n, dtype=bool)
     max_mod = np.abs(z)
-    # Row s % w holds the orbit point at step s.
-    hist_re, hist_im = np.empty((2, w, n))
+    # Row s % w holds the orbit point at step s.  A window longer than
+    # the budget never wraps, so rows past the budget are never written.
+    hist_re, hist_im = np.empty((2, min(w, policy.budget + 1), n))
     hist_re[0], hist_im[0] = z.real, z.imag
     # Bounds on Re z over every history row the next scan reads.
     win_lo, win_hi = np.array([z.real, z.real])
@@ -248,6 +277,14 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy) -> _Stop
             m_esc = m[escaped]
             escape_modulus[stop(esc, _ESCAPED, step)] = np.where(
                 m_esc >= policy.escape_radius, m_esc, _HUGE)
+
+        if traps:
+            caught = np.zeros(pos.size, dtype=bool)
+            for cx, cy, r2 in traps:
+                caught |= (z_new.real - cx) ** 2 + (z_new.imag - cy) ** 2 <= r2
+            caught &= max_mod[pos] < inner
+            if np.count_nonzero(caught):
+                stop(pos[caught], _TRAPPED, step)
 
         due = (pending_due[:nc] == step).nonzero()[0]
         if due.size:
@@ -322,6 +359,14 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy) -> _Stop
                   max_out)
 
 
+def _ldexp(w: np.ndarray, e: np.ndarray) -> np.ndarray:
+    """w * 2**e, exact unless a part over- or underflows."""
+    out = np.empty_like(w)
+    out.real = np.ldexp(w.real, e)
+    out.imag = np.ldexp(w.imag, e)
+    return out
+
+
 @dataclass(frozen=True)
 class FixedPointRecord:
     """A located fixed point with its multiplier classification."""
@@ -374,7 +419,15 @@ def find_fixed_points(f: FunctionExpression, region: DomainSpec,
             idx = idx[~frozen]
             if idx.size == 0:
                 break
-            z_new = z[idx] - g[~frozen] / gp[~frozen]
+            # numpy divides complex numbers by Smith's method, which
+            # overflows when both parts of g' are near the largest float.
+            # There g and g' are scaled by one power of two, which is exact
+            # unless g underflows; elsewhere a subnormal g would lose bits,
+            # so it is left alone
+            g, gp = g[~frozen], gp[~frozen]
+            _, e = np.frexp(np.maximum(np.abs(gp.real), np.abs(gp.imag)))
+            e = np.where(e > _SMITH_SAFE_EXPONENT, e, 0)
+            z_new = z[idx] - _ldexp(g, -e) / _ldexp(gp, -e)
             ok = np.isfinite(z_new) & (np.abs(z_new) < 1e12)
             z[idx[ok]] = z_new[ok]
             alive[idx[~ok]] = False

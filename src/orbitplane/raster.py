@@ -2,6 +2,10 @@
 
 ``classify_grid`` runs the orbit kernel of ``orbits`` on every pixel
 center at once, so a pixel gets exactly its center's single-point class.
+It first certifies trap discs about the fixed points in the window and
+stops the starts that enter one; that saves the steps of orbits that
+would creep towards a parabolic point for the rest of the budget and
+moves no class.
 One run-based labeling serves two questions.  The census labels one
 suspect class (undecided pixels never join a census, so heuristic
 uncertainty cannot merge components); its boundary is the pixel-level
@@ -23,7 +27,8 @@ import numpy as np
 from .domains import Rect
 from .errors import InvalidRadius, RadiusOutsideWindow
 from .expressions import FunctionExpression
-from .orbits import OrbitPolicy, PointClass, _classes, _iterate
+from .orbits import (_BOUNDED_HEADROOM, _TRAPPED, OrbitPolicy, PointClass,
+                     _classes, _iterate)
 
 __all__ = [
     "GridSpec",
@@ -39,6 +44,11 @@ __all__ = [
 ]
 
 
+# Most pixels a grid may have: 4x the 800x400 benchmark render.  The
+# orbit kernel holds about 100 bytes a pixel besides its history.
+MAX_PIXELS = 1_280_000
+
+
 @dataclass(frozen=True)
 class GridSpec:
     """Raster window and resolution; pixel centers are window-interior."""
@@ -50,6 +60,9 @@ class GridSpec:
     def __post_init__(self):
         if self.nx < 2 or self.ny < 2:
             raise ValueError("grid needs at least 2x2 pixels")
+        if self.nx * self.ny > MAX_PIXELS:
+            raise ValueError(f"grid of {self.nx}x{self.ny} pixels is above "
+                             f"the cap of {MAX_PIXELS} pixels")
         dx, dy = self.dx, self.dy
         if not (0 < dx < math.inf and 0 < dy < math.inf and dx / dy < math.inf):
             raise ValueError("pixel sizes and their ratio must be positive "
@@ -84,12 +97,16 @@ class PixelClassification:
     """Per-pixel suspect classes over a grid, with the policy that made them.
 
     ``classes`` has shape (ny, nx), values from :class:`PointClass`,
-    indexed [iy, ix] with iy increasing upward in the plane.
+    indexed [iy, ix] with iy increasing upward in the plane.  ``traps``
+    are the certified trap discs the kernel used and ``trapped`` counts
+    the pixels it stopped in one (all bounded suspects).
     """
 
     grid: GridSpec
     classes: np.ndarray
     policy: OrbitPolicy
+    traps: tuple = ()  # of traps.TrapDisc
+    trapped: int = 0
 
     def __post_init__(self):
         if self.classes.shape != (self.grid.ny, self.grid.nx):
@@ -111,11 +128,21 @@ def classify_grid(f: FunctionExpression, grid: GridSpec,
                   policy: OrbitPolicy) -> PixelClassification:
     """Classify every pixel center with the orbit kernel of ``orbits``.
 
-    A pixel gets exactly the class ``classify_point`` gives its center.
+    The kernel gets the trap discs certified about the fixed points in
+    the window (see ``orbits``) and stops a start that enters one while
+    it and the disc lie below escape_radius / 100.  The orbit of such a
+    start provably stays in the disc, where the untrapped kernel would
+    also end it a bounded suspect, so a pixel gets exactly the class
+    ``classify_point`` gives its center, which uses no traps.
     """
-    stops = _iterate(f, grid.pixel_centers().ravel(), policy)
+    from .traps import certified_traps  # rational arithmetic, on first use
+
+    traps = certified_traps(f, grid.window,
+                            policy.escape_radius / _BOUNDED_HEADROOM)
+    stops = _iterate(f, grid.pixel_centers().ravel(), policy, traps)
     classes = _classes(stops.kind, stops.max_modulus, policy).astype(np.uint8)
-    return PixelClassification(grid, classes.reshape(grid.ny, grid.nx), policy)
+    return PixelClassification(grid, classes.reshape(grid.ny, grid.nx), policy,
+                               traps, int(np.count_nonzero(stops.kind == _TRAPPED)))
 
 
 # ---------------------------------------------------------------------------

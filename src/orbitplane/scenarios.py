@@ -205,6 +205,10 @@ def _run_sinz(emit) -> dict:
     emit("sinz_render.ppm", lambda p: fileio.write_ppm(p, pc, overlay))
     emit("sinz_render.npz", lambda p: fileio.save_classification(p, pc))
 
+    # Certified trap discs and the pixels stopped in them (reported).
+    checks.append(_check("certified_traps", True, reported_only=True,
+                         **fileio.encode_traps(pc)))
+
     # Real-axis band bounded: both pixel rows nearest Im z = 0.
     ys = grid.y_centers()
     rows = np.argsort(np.abs(ys))[:2]

@@ -144,6 +144,8 @@ BAD_FLAG_VALUES = {
                                 "-1.7e308,1.7e308,-1,1", "--nx", "4", "--ny", "4"],
     "render-pixel-underflows": ["render", "--f", "z", "--window",
                                 "-1,1,0,1e-323", "--nx", "4", "--ny", "4"],
+    "render-pixels-above-cap": ["render", "--f", "z", "--window", "-1,1,-1,1",
+                                "--nx", "100000", "--ny", "100000"],
     "fixed-points-seeds-zero": ["fixed-points", "--f", "z", "--rect",
                                 "-1,1,-1,1", "--seeds", "0"],
     "fixed-points-max-newton-negative": ["fixed-points", "--f", "z", "--rect",
@@ -316,7 +318,7 @@ def test_fixed_points(tmp_path):
 
 
 def test_fixed_points_of_huge_function_keep_stderr_empty(tmp_path):
-    # the Newton step overflows on every seed; numpy must not warn
+    # g and g' overflow on most seeds; numpy must not warn
     src = os.path.dirname(os.path.dirname(cli.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
@@ -325,6 +327,35 @@ def test_fixed_points_of_huge_function_keep_stderr_empty(tmp_path):
         capture_output=True, text=True, env=env, check=False)
     assert (proc.returncode, proc.stderr) == (0, "")
     assert json.loads(proc.stdout)["kind"] == "fixed_points"
+
+
+def test_newton_step_on_huge_derivative_finds_the_fixed_point(tmp_path):
+    # numpy's complex division overflows on g / g' at g' = 1e308 (1 + i);
+    # scaling both by a power of two finds the fixed point 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "orbitplane.cli",
+         "--out", str(tmp_path), "fixed-points", "--f", "1e308*(1+i)*z",
+         "--rect", "-1,1,-1,1"],
+        capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    points = json.loads(proc.stdout)["fixed_points"]
+    assert [p["location"] for p in points] == [[0.0, 0.0]]
+
+
+def test_render_reports_certified_traps(tmp_path):
+    assert run(tmp_path, "render", "--f", "sin(z)",
+               "--window", "-10,10,-5,5", "--nx", "100", "--ny", "50") == 0
+    rep = load_and_validate(tmp_path, "render.json")
+    assert rep["traps"] == [
+        {"center": [x, 0.0], "radius": 1.25, "kind": "parabolic_petal",
+         "evidence": "certified"} for x in (1.25, -1.25)]
+    assert 0 < rep["trapped"] <= rep["counts"]["BOUNDED_SUSPECT"]
+    assert run(tmp_path, "render", "--f", "z^2 - 1", "--window", "-2,2,-2,2",
+               "--nx", "20", "--ny", "20") == 0
+    rep = load_and_validate(tmp_path, "render.json")
+    assert (rep["traps"], rep["trapped"]) == ([], 0)
 
 
 def test_render_components_swprobe_pipeline(tmp_path):

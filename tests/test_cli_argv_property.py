@@ -4,7 +4,8 @@ Each example picks a subcommand, draws a value for each of its flags
 within bounds that keep one run small (nx, ny <= 64; budget <= 50;
 n-max <= 20; density <= 16 with disc radii <= 10; probe-grid <= 8), and
 may replace one numeric flag by a non-finite, zero or negative value,
-which must exit 2 without writing a file.  Exit codes 0 and 1 must come
+or a render size above the pixel cap, which must exit 2 without writing
+a file.  Exit codes 0 and 1 must come
 with a strict-JSON report on stdout that validates against the schema.
 A sweep then tries every refused value of every numeric flag once.
 Valid ``scenario`` runs take seconds each and are covered by the
@@ -98,8 +99,10 @@ GRAMMAR = {
                       "--max-newton": (_int(0, 60), NON_FINITE + ["-1"])}),
     "render": ({"--window": (_box(), ["nan,1,-1,1", "-1,1,-inf,1",
                                       "1,1,-1,1"]),
-                "--nx": (_int(2, 64), NON_FINITE + ["0", "1", "-4"]),
-                "--ny": (_int(2, 64), NON_FINITE + ["0", "1", "-4"])},
+                "--nx": (_int(2, 64), NON_FINITE + ["0", "1", "-4",
+                                                    "2000000"]),
+                "--ny": (_int(2, 64), NON_FINITE + ["0", "1", "-4",
+                                                    "2000000"])},
                POLICY),
     "components": ({}, {}),
     "sw-probe": ({"--radii": (_increasing(0.1, 6.0, 1, 3),
