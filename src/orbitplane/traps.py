@@ -109,9 +109,13 @@ def certified_traps(f: FunctionExpression, window: Rect,
                 # a petal passes through p exactly, whatever c rounded to
                 tangent_at = p if kind == PETAL else None
                 rho2 = Fraction(rho) ** 2 if tangent_at is None else _dist2(c, p)
-                radius = _sqrt_below(rho2)
-                if (abs(c) + radius < bound
-                        and _maps_into_itself(f, c, rho2, tangent_at)):
+                try:
+                    radius = _sqrt_below(rho2)
+                    proved = (abs(c) + radius < bound
+                              and _maps_into_itself(f, c, rho2, tangent_at))
+                except OverflowError:  # a rational too large for a float
+                    proved = False
+                if proved:
                     traps.append(TrapDisc(c, radius, kind))
                     break
     return tuple(traps)
@@ -233,17 +237,24 @@ def _abs2_above(box: tuple, c: complex) -> np.ndarray:
     return up(up(x * x) + up(y * y))
 
 
+def _sqrt_near(q: Fraction) -> float:
+    """sqrt(q) within a few ulps for any rational q >= 0, even where q
+    itself under- or overflows a float; OverflowError above the floats."""
+    e = (q.numerator.bit_length() - q.denominator.bit_length()) // 2
+    return math.ldexp(math.sqrt(q / Fraction(4) ** e), e)
+
+
 def _sqrt_below(q: Fraction) -> float:
-    """A float within two ulps of sqrt(q) whose square is at most q."""
-    s = math.sqrt(q)
+    """A float near sqrt(q) whose square is at most q."""
+    s = _sqrt_near(q)
     while Fraction(s) ** 2 > q:
         s = math.nextafter(s, 0.0)
     return s
 
 
 def _sqrt_above(q: Fraction) -> Fraction:
-    """A float within two ulps of sqrt(q) whose square is at least q."""
-    s = math.sqrt(q)
+    """A float near sqrt(q), as a Fraction, whose square is at least q."""
+    s = _sqrt_near(q)
     while Fraction(s) ** 2 < q:
         s = math.nextafter(s, math.inf)
     return Fraction(s)

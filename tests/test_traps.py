@@ -159,3 +159,14 @@ def test_history_longer_than_the_budget_changes_no_stop():
     for a, b in zip(short, huge):
         assert np.array_equal(a, b)
     assert np.any(short.kind == _KINDS.index("CYCLE_LOCKED"))
+
+
+@pytest.mark.parametrize("q", [Fraction(0), Fraction(1, 10**600), Fraction(2),
+                               Fraction(10**600), Fraction(1e-320)])
+def test_square_root_bounds_hold_beyond_the_float_range(q):
+    # a coefficient like 1e-300 has a square no float holds; stepping ulp
+    # by ulp from float(q) = 0 would never end
+    from orbitplane.traps import _sqrt_above, _sqrt_below
+    lo, hi = Fraction(_sqrt_below(q)), _sqrt_above(q)
+    assert lo ** 2 <= q <= hi ** 2
+    assert hi - lo <= 4 * abs(hi) * Fraction(2) ** -52 + Fraction(2) ** -1070
