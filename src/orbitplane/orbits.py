@@ -187,11 +187,17 @@ def class_of_verdict(verdict: OrbitVerdict, policy: OrbitPolicy) -> PointClass:
 
 def _classes(kind, max_modulus, policy: OrbitPolicy):
     """Point classes of kernel kind codes and max moduli (scalars or arrays)."""
-    bounded = (kind == _LOCKED) | (kind == _TRAPPED) | (
+    bounded = (kind == _LOCKED) | (
         max_modulus < policy.escape_radius / _BOUNDED_HEADROOM)
     return np.where(kind == _ESCAPED, PointClass.UNBOUNDED_SUSPECT,
                     np.where(bounded, PointClass.BOUNDED_SUSPECT,
                              PointClass.UNDECIDED))
+
+
+def _trap_fits(center: complex, radius: float, escape_radius: float) -> bool:
+    """Whether every point of the closed disc D(center, radius) lies below
+    escape_radius / 100, with room for the rounding of this test."""
+    return abs(center) + radius < escape_radius / _BOUNDED_HEADROOM * _SHRINK
 
 
 # Per-start outcome of _iterate, indexed like its starts: ``kind`` holds
@@ -232,7 +238,7 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
     n, w, tol = z.size, policy.cycle_window, policy.cycle_tol
     inner = policy.escape_radius / _BOUNDED_HEADROOM
     traps = [(t.center.real, t.center.imag, t.radius * t.radius * _SHRINK)
-             for t in traps if abs(t.center) + t.radius < inner * _SHRINK]
+             for t in traps if _trap_fits(t.center, t.radius, policy.escape_radius)]
     kind = np.zeros(n, dtype=np.uint8)
     stop_step = np.zeros(n, dtype=np.int32)
     escape_modulus = np.zeros(n)
@@ -283,6 +289,7 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
             for cx, cy, r2 in traps:
                 caught |= (z_new.real - cx) ** 2 + (z_new.imag - cy) ** 2 <= r2
             caught &= max_mod[pos] < inner
+            caught &= ~escaped  # whatever z_new an overflowing step left
             if np.count_nonzero(caught):
                 stop(pos[caught], _TRAPPED, step)
 

@@ -27,8 +27,7 @@ import numpy as np
 from .domains import Rect
 from .errors import InvalidRadius, RadiusOutsideWindow
 from .expressions import FunctionExpression
-from .orbits import (_BOUNDED_HEADROOM, _TRAPPED, OrbitPolicy, PointClass,
-                     _classes, _iterate)
+from .orbits import _TRAPPED, OrbitPolicy, PointClass, _classes, _iterate
 
 __all__ = [
     "GridSpec",
@@ -137,8 +136,7 @@ def classify_grid(f: FunctionExpression, grid: GridSpec,
     """
     from .traps import certified_traps  # rational arithmetic, on first use
 
-    traps = certified_traps(f, grid.window,
-                            policy.escape_radius / _BOUNDED_HEADROOM)
+    traps = certified_traps(f, grid.window, policy.escape_radius)
     stops = _iterate(f, grid.pixel_centers().ravel(), policy, traps)
     classes = _classes(stops.kind, stops.max_modulus, policy).astype(np.uint8)
     return PixelClassification(grid, classes.reshape(grid.ny, grid.nx), policy,

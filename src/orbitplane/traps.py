@@ -35,7 +35,7 @@ import numpy as np
 from .domains import Rect
 from .expressions import (FunctionExpression, _enclose, _exact, _qmul,
                           evaluate_with_overflow)
-from .orbits import ATTRACTING, find_fixed_points
+from .orbits import ATTRACTING, _trap_fits, find_fixed_points
 
 __all__ = ["TrapDisc", "PETAL", "certified_traps"]
 
@@ -82,12 +82,13 @@ _Tangency = namedtuple("_Tangency", "point k a directions")
 
 @functools.lru_cache(maxsize=32)
 def certified_traps(f: FunctionExpression, window: Rect,
-                    bound: float) -> tuple[TrapDisc, ...]:
+                    escape_radius: float) -> tuple[TrapDisc, ...]:
     """Trap discs proved for f about the fixed points f has in ``window``.
 
     Each disc starts at half the window's shorter side and halves its
-    radius up to ``_TRAP_HALVINGS`` times until it certifies; radii with
-    |center| + radius >= ``bound`` are not tried.  Attracting fixed points
+    radius up to ``_TRAP_HALVINGS`` times until it certifies; discs that
+    reach escape_radius / 100, which the orbit kernel would not use, are
+    not tried.  Attracting fixed points
     get discs about themselves; a parabolic one with one or two attracting
     directions v gets a petal disc D(p + rho v, rho) per direction.
     """
@@ -111,7 +112,7 @@ def certified_traps(f: FunctionExpression, window: Rect,
                 rho2 = Fraction(rho) ** 2 if tangent_at is None else _dist2(c, p)
                 try:
                     radius = _sqrt_below(rho2)
-                    proved = (abs(c) + radius < bound
+                    proved = (_trap_fits(c, radius, escape_radius)
                               and _maps_into_itself(f, c, rho2, tangent_at))
                 except OverflowError:  # a rational too large for a float
                     proved = False

@@ -24,7 +24,7 @@ from orbitplane.raster import GridSpec, classify_grid
 
 SIN = parse("sin(z)")
 SIN_WINDOW = Rect(-10.0, 10.0, -5.0, 5.0)
-BOUND = 1e4  # escape radius 1e6 / 100
+ESCAPE = 1e6  # the default escape radius
 
 
 def _petal(rho):
@@ -32,7 +32,7 @@ def _petal(rho):
 
 
 def test_sin_gets_two_petals_tangent_at_zero():
-    traps = certified_traps(SIN, SIN_WINDOW, BOUND)
+    traps = certified_traps(SIN, SIN_WINDOW, ESCAPE)
     assert traps == (TrapDisc(1.25 + 0j, 1.25, PETAL),
                      TrapDisc(-1.25 + 0j, 1.25, PETAL))
 
@@ -72,24 +72,24 @@ def test_unsnapped_newton_root_fails():
 def test_three_attracting_directions_never_certify():
     f = parse("z - z^4")
     assert _parabolic(f, 1e-9 + 0j) is None
-    assert certified_traps(f, Rect(-2.0, 2.0, -1.0, 1.0), BOUND) == ()
+    assert certified_traps(f, Rect(-2.0, 2.0, -1.0, 1.0), ESCAPE) == ()
 
 
 @pytest.mark.parametrize("b", ["0.05", "-0.05", "0.03i"])
 def test_fourth_order_term_is_part_of_the_tangency_bound(b):
     f = parse(f"z - z^3/6 + {b}*z^4")
-    traps = certified_traps(f, Rect(-2.0, 2.0, -1.0, 1.0), BOUND)
+    traps = certified_traps(f, Rect(-2.0, 2.0, -1.0, 1.0), ESCAPE)
     assert len(traps) == 2 and all(t.kind == PETAL for t in traps)
 
 
 def test_one_attracting_direction_gets_one_petal():
-    traps = certified_traps(parse("z + z^2"), Rect(-2.0, 1.0, -1.5, 1.5), BOUND)
+    traps = certified_traps(parse("z + z^2"), Rect(-2.0, 1.0, -1.5, 1.5), ESCAPE)
     assert [t.kind for t in traps] == [PETAL]
     assert traps[0].center.real < 0
 
 
 def test_attracting_fixed_points_get_discs():
-    traps = certified_traps(parse("cos(z) + z"), SIN_WINDOW, BOUND)
+    traps = certified_traps(parse("cos(z) + z"), SIN_WINDOW, ESCAPE)
     assert [t.kind for t in traps] == [ATTRACTING] * 3
     assert [round(t.center.real / (np.pi / 2)) for t in traps] == [-3, 1, 5]
 
@@ -101,7 +101,7 @@ def test_certified_discs_hold_at_high_precision():
     cases = [(SIN, SIN_WINDOW), (parse("cos(z) + z"), SIN_WINDOW),
              (parse("z - z^3/6 + 0.03i*z^4"), Rect(-2.0, 2.0, -1.0, 1.0))]
     for f, window in cases:
-        for trap in certified_traps(f, window, BOUND):
+        for trap in certified_traps(f, window, ESCAPE):
             c = mpmath.mpc(trap.center)
             for k in range(2000):
                 z = c + trap.radius * mpmath.expjpi(mpmath.mpf(k) / 1000)
@@ -113,7 +113,7 @@ def test_certified_discs_hold_at_high_precision():
 def test_kernel_stops_starts_in_traps_and_keeps_their_class():
     starts = GridSpec(SIN_WINDOW, 160, 80).pixel_centers().ravel()
     policy = OrbitPolicy()
-    traps = certified_traps(SIN, SIN_WINDOW, BOUND)
+    traps = certified_traps(SIN, SIN_WINDOW, ESCAPE)
     plain = _iterate(SIN, starts.copy(), policy)
     trapped = _iterate(SIN, starts.copy(), policy, traps)
     caught = trapped.kind == _TRAPPED
@@ -147,6 +147,21 @@ def test_single_orbits_agree_with_the_trapping_grid(source, window, stride):
     single = np.array([[classify_point(f, z, policy) for z in row]
                        for row in centers])
     assert np.array_equal(single, pc.classes[::stride, ::stride])
+
+
+def test_an_escape_by_overflow_is_not_undone_by_a_trap():
+    # exp saturates for Re z > 709, so f(950) evaluates to about 475, inside
+    # the certified disc D(0, 500), yet the step overflowed: the start escapes
+    f = parse("0.5*z + 1e-320*exp(z)")
+    grid = GridSpec(Rect(-1000.0, 1000.0, -1000.0, 1000.0), 20, 20)
+    policy = OrbitPolicy()
+    pc = classify_grid(f, grid, policy)
+    assert pc.traps and pc.trapped
+    single = np.array([[classify_point(f, z, policy) for z in row]
+                       for row in grid.pixel_centers()])
+    assert np.array_equal(single, pc.classes)
+    stops = _iterate(f, np.array([950.0 + 0j]), policy, pc.traps)
+    assert _KINDS[stops.kind[0]] == "ESCAPED"
 
 
 def test_history_longer_than_the_budget_changes_no_stop():
