@@ -21,8 +21,8 @@ from .expressions import (FunctionExpression, evaluate,
 from .fileio import write_ppm
 from .modulus import (DIVERGES, NOT_DIVERGING, UNDECIDED, DiscSequence,
                       MinModIterationReport, RadialExtremum,
-                      derive_disc_sequence, iterate_min_modulus, max_modulus,
-                      min_modulus)
+                      derive_disc_sequence, iterate_min_modulus,
+                      iterate_min_modulus_many, max_modulus, min_modulus)
 from .orbits import (BUDGET_EXHAUSTED, CYCLE_LOCKED, ESCAPED,
                      FixedPointRecord, OrbitPolicy, OrbitVerdict, PointClass,
                      classify_point, find_fixed_points, iterate_orbit)
@@ -52,7 +52,7 @@ __all__ = [
     "contains_closure", "derive_disc_sequence", "diameter", "evaluate",
     "evaluate_with_overflow", "ex51_domain", "ex52_domain",
     "find_fixed_points", "image_curve", "inradius_about", "interior_point",
-    "iterate_min_modulus", "iterate_orbit", "label_components",
-    "max_modulus", "min_modulus", "parse", "run_scenario",
+    "iterate_min_modulus", "iterate_min_modulus_many", "iterate_orbit",
+    "label_components", "max_modulus", "min_modulus", "parse", "run_scenario",
     "spiders_web_probe", "surrounds", "winding_number", "write_ppm",
 ]

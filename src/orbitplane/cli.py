@@ -32,8 +32,8 @@ from .domains import Disc, Rect, boundary
 from .errors import (DegenerateDomain, ExprSyntaxError, InvalidRadius,
                      NonEntireError, OrbitPlaneError, RadiusOutsideWindow)
 from .expressions import parse as parse_expr
-from .modulus import (derive_disc_sequence, iterate_min_modulus, max_modulus,
-                      min_modulus)
+from .modulus import (MAX_COARSE, derive_disc_sequence, iterate_min_modulus,
+                      max_modulus, min_modulus)
 from .orbits import OrbitPolicy, PointClass, find_fixed_points, iterate_orbit
 from .raster import (GridSpec, boundary_pixels, classify_grid,
                      label_components, spiders_web_probe)
@@ -75,13 +75,19 @@ def _positive_flag(text: str) -> float:
     return value
 
 
-def _int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``."""
+def _int_at_least(low: int, at_most: int | None = None):
+    """An argparse type: an integer no smaller than ``low``.
+
+    With ``at_most``, an integer above it is refused too.
+    """
     def parse(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(
                 f"needs an integer >= {low}, got {text!r}")
+        if at_most is not None and value > at_most:
+            raise argparse.ArgumentTypeError(
+                f"needs an integer <= {at_most}, got {text!r}")
         return value
     parse.__name__ = "int"  # argparse names the type in its own messages
     return parse
@@ -164,7 +170,8 @@ def _refusable(what: str, call, *call_args):
     Flags that need a value of their own are checked at parse time; the
     library refuses what only several flags together make wrong, such as
     a --blow-up not above --r, fewer than two domains, a boundary or probe
-    lattice above the sample cap, or a boundary mapped to a single point.
+    lattice above the sample cap, an orbit history above its cap, or a
+    boundary mapped to a single point.
     """
     try:
         return call(*call_args)
@@ -200,7 +207,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("minmod", help="min/max modulus on one circle")
     p.add_argument("--f", required=True)
     p.add_argument("--r", type=_positive_flag, required=True)
-    p.add_argument("--n-coarse", type=_int_at_least(64), default=4096)
+    p.add_argument("--n-coarse", type=_int_at_least(64, MAX_COARSE),
+                   default=4096)
     p.add_argument("--tol", type=_positive_flag, default=1e-10)
 
     p = sub.add_parser("minmod-iterate", help="iterate r -> min modulus")
@@ -208,14 +216,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--r", dest="r0", type=_positive_flag, required=True)
     p.add_argument("--n-max", type=_int_at_least(1), default=50)
     p.add_argument("--blow-up", type=_positive_flag, default=1e50)
-    p.add_argument("--n-coarse", type=_int_at_least(64), default=4096)
+    p.add_argument("--n-coarse", type=_int_at_least(64, MAX_COARSE),
+                   default=4096)
     p.add_argument("--tol", type=_positive_flag, default=1e-10)
 
     p = sub.add_parser("disc-seq", help="disc sequence from iterated min modulus")
     p.add_argument("--f", required=True)
     p.add_argument("--r", dest="r0", type=_positive_flag, required=True)
     p.add_argument("--count", type=_int_at_least(1), default=4)
-    p.add_argument("--n-coarse", type=_int_at_least(64), default=4096)
+    p.add_argument("--n-coarse", type=_int_at_least(64, MAX_COARSE),
+                   default=4096)
     p.add_argument("--tol", type=_positive_flag, default=1e-10)
 
     p = sub.add_parser("surround-check",
@@ -394,7 +404,8 @@ def _cmd_spl_check(args, outdir):
 def _cmd_orbit(args, outdir):
     f = parse_expr(args.f)
     policy = _policy_of(args)
-    verdict = iterate_orbit(f, args.z0, policy, keep_trace=args.trace)
+    verdict = _refusable("cannot iterate this orbit", iterate_orbit, f,
+                         args.z0, policy, args.trace)
     if args.trace and verdict.trace:
         fileio.orbit_csv(os.path.join(outdir, "orbit.csv"), verdict.trace)
     report = {"kind": "orbit", "function": args.f,
@@ -419,7 +430,8 @@ def _cmd_render(args, outdir):
     policy = _policy_of(args)
     grid = _refusable("cannot render this window", GridSpec, args.window,
                       args.nx, args.ny)
-    pc = classify_grid(f, grid, policy)
+    pc = _refusable("cannot render this window", classify_grid, f, grid,
+                    policy)
     overlay = None
     if args.overlay_boundary is not None:
         overlay = boundary_pixels(pc, args.overlay_boundary)

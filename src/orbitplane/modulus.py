@@ -11,6 +11,13 @@ coarse grid (default 4096 angles) is what guards against missed dips;
 the refinement then resolves each bracket to the requested angular
 tolerance, or to rounding in |f|, within a fixed budget of rounds.
 
+One kernel serves a batch of circles that share f, the grid, the
+tolerance and the sense (min or max).  Coarse sampling runs one circle
+at a time; refinement runs for the whole batch, every bracket carrying
+its circle's radius and scale.  A single circle is a batch of one, and
+``iterate_min_modulus_many`` iterates many starts in lockstep, one
+batch per step.
+
 Iterating r -> m(r) probes the divergence condition m^n(r) -> infinity.
 Divergence is undecidable from finitely many iterates, so the verdicts
 are explicit heuristics: DIVERGES means a threshold was crossed,
@@ -38,6 +45,7 @@ __all__ = [
     "min_modulus",
     "max_modulus",
     "iterate_min_modulus",
+    "iterate_min_modulus_many",
     "derive_disc_sequence",
     "DIVERGES",
     "NOT_DIVERGING",
@@ -54,6 +62,10 @@ REVISIT_RTOL = 1e-9
 RADIUS_FLOOR = 1e-12
 
 _MAX_BRACKETS = 256
+# The coarse grid holds at most this many angles, 256 times the default,
+# so the cache of unit circles holds at most 8 x 16 MB.
+MAX_COARSE = 2 ** 20
+_NEIGHBOURS = np.arange(-1, 2)
 
 # Refinement rounds per extremum call.  A round costs two evaluate calls
 # (f and f' at one new angle per active bracket); bisection alone needs 24
@@ -111,14 +123,17 @@ def _slope(values: np.ndarray, derivs: np.ndarray, units: np.ndarray,
     Dividing f by its bracket's ``scale`` (the largest coarse |f| there)
     keeps the product finite where |f| * |f'| * r is not, and unlike
     d|f|/dt the slope stays smooth through a zero of f.  Should f' itself
-    saturate, an infinite product keeps its sign and a NaN reads as 0.
+    saturate, an infinite product reads as the largest float of its sign
+    and a NaN as 0 (what ``np.nan_to_num`` does, in fewer numpy calls).
     """
     c, s = values.real / scale, values.imag / scale
     w_re = 0.5 * (c * units.real + s * units.imag)
     w_im = 0.5 * (c * units.imag - s * units.real)
     with np.errstate(over="ignore", invalid="ignore"):
         g = -sign * (w_re * derivs.imag + w_im * derivs.real)
-    return np.nan_to_num(g, nan=0.0)
+    g = np.where(g == g, g, 0.0)
+    np.minimum(g, _SATURATED, out=g)
+    return np.maximum(g, -_SATURATED, out=g)
 
 
 def _unresolved(x, gx, e, v, scale, r, tol):
@@ -137,59 +152,96 @@ def _unresolved(x, gx, e, v, scale, r, tol):
     return (gx != 0) & (width > tol) & (mod < _SATURATED) & ~(drop <= _FLAT)
 
 
-def _extremum(f: FunctionExpression, r: float, n_coarse: int, tol: float,
-              maximize: bool) -> RadialExtremum:
-    r = _check_radius(r)
+def _brackets(f: FunctionExpression, df: Optional[FunctionExpression],
+              r: float, n_coarse: int, tol: float, sign: float) -> tuple:
+    """Coarse pass on the circle |z| = r: the brackets that matter.
+
+    Each bracket a < x < b keeps its best point x inside, with
+    sign * |f(x)| = v no larger than at a or b and the objective's slope
+    g at all three.  The slope at x points to the side that holds a
+    lower value; the search runs between x and that side's end e.
+    Returns x and v of each bracket and, given the derivative ``df``, its
+    slopes g at a, x and b, its scale and whether it still needs
+    refining.  A bracket resolved at once keeps its v, so of those only
+    the first least can win, and the rest are left out.
+    """
+    step = 2 * math.pi / n_coarse
+    units = _unit_circle(n_coarse)
+    values = evaluate(f, r * units)
+    # sign * |f| at the coarse angles, padded by one value wrapped from
+    # each end so that both neighbours of every angle are slices
+    padded = np.empty(n_coarse + 2)
+    vals = padded[1:-1]
+    np.abs(values, out=vals)
+    if sign < 0:
+        np.negative(vals, out=vals)
+    padded[0], padded[-1] = vals[-1], vals[0]
+    cand = np.nonzero((vals <= padded[:-2]) & (vals <= padded[2:]))[0]
+    if cand.size == 0:
+        cand = np.array([int(np.argmin(vals))])
+    elif cand.size > _MAX_BRACKETS:
+        order = np.argsort(vals[cand], kind="stable")
+        cand = cand[order[:_MAX_BRACKETS]]
+    x, v = cand * step, vals[cand]
+    if df is None:
+        return x, v
+    grid = (cand[:, None] + _NEIGHBOURS) % n_coarse
+    near, near_units = values[grid], units[grid]
+    scale = np.max(np.abs(near), axis=1)
+    scale[scale == 0] = 1.0
+    g = _slope(near, evaluate(df, r * near_units), near_units, scale[:, None],
+               sign)
+    active = _unresolved(x, g[:, 1], np.where(g[:, 1] < 0, x + step, x - step),
+                         v, scale, r, tol)
+    kept = active.copy()
+    if not kept.all():
+        resolved = np.nonzero(~active)[0]
+        kept[resolved[np.argmin(v[resolved])]] = True
+    return x[kept], v[kept], g[kept], scale[kept], active[kept]
+
+
+def _extremum(f: FunctionExpression, radii, n_coarse: int, tol: float,
+              maximize: bool) -> list[RadialExtremum]:
+    """Extremum of |f| on the circle |z| = r for each r of ``radii``.
+
+    Coarse sampling runs one circle at a time, so memory does not grow
+    with the batch.  Every bracket of every circle then goes through one
+    refinement loop, carrying its circle's radius and scale.  A bracket's
+    steps do not depend on the others, so each circle's result is the
+    same in any batch; ``stop`` is ``budget`` when one of its brackets
+    was still active after ``_MAX_ROUNDS`` rounds.
+    """
+    radii = [_check_radius(r) for r in radii]
     if n_coarse < 64:
         raise ValueError("n_coarse must be at least 64")
+    if n_coarse > MAX_COARSE:
+        raise ValueError(f"n_coarse must be at most {MAX_COARSE}")
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
 
     # Minimize sign * |f| throughout.
     sign = -1.0 if maximize else 1.0
     step = 2 * math.pi / n_coarse
-    units = _unit_circle(n_coarse)
-    values = evaluate(f, r * units)
-    vals = sign * np.abs(values)
-    samples = n_coarse
-    evaluations = 1
-
-    prev = np.roll(vals, 1)
-    nxt = np.roll(vals, -1)
-    cand = np.nonzero((vals <= prev) & (vals <= nxt))[0]
-    if cand.size == 0:
-        cand = np.array([int(np.argmin(vals))])
-    elif cand.size > _MAX_BRACKETS:
-        order = np.argsort(vals[cand], kind="stable")
-        cand = cand[order[:_MAX_BRACKETS]]
-
-    # Each bracket a < x < b keeps its best point x inside, with
-    # sign * |f(x)| = v no larger than at a or b and the objective's
-    # slope g at all three.  The slope at x points to the side that holds
-    # a lower value; the search runs between x and that side's end e.
-    x = cand * step
-    v = vals[cand].copy()
     refined = 2 * step > tol
-    stop = CONVERGED
+    df = f.derivative() if refined else None
+    # One circle's coarse pass at a time, each freeing its samples before
+    # the next begins.
+    parts = [_brackets(f, df, r, n_coarse, tol, sign) for r in radii]
+    counts = [part[0].size for part in parts]
+    x, v, *state = [np.concatenate(column) for column in zip(*parts)]
+    rounds = np.zeros(x.size, dtype=int)  # rounds each bracket ran
+    active = np.zeros(x.size, dtype=bool)
     if refined:
-        df = f.derivative()
-        grid = (cand[:, None] + np.arange(-1, 2)) % n_coarse
-        scale = np.max(np.abs(values[grid]), axis=1)
-        scale[scale == 0] = 1.0
-        g = _slope(values[grid], evaluate(df, r * units[grid]), units[grid],
-                   scale[:, None], sign)
-        evaluations += 1
+        g, scale, active = state
+        radius = np.repeat(radii, counts)
         a, b = x - step, x + step
         ga, gx, gb = g[:, 0], g[:, 1], g[:, 2]
         # stall: rounds the current far end has stayed in place
-        stall = np.zeros(cand.size, dtype=int)
-        active = _unresolved(x, gx, np.where(gx < 0, b, a), v, scale, r, tol)
-        rounds = 0
-        while active.any():
-            if rounds == _MAX_ROUNDS:
-                stop = BUDGET
-                break
+        stall = np.zeros(x.size, dtype=int)
+        for _ in range(_MAX_ROUNDS):
             act = np.nonzero(active)[0]
+            if not act.size:
+                break
             X, GX, A, B, GA, GB = x[act], gx[act], a[act], b[act], ga[act], gb[act]
             right = GX < 0
             E = np.where(right, B, A)
@@ -214,13 +266,12 @@ def _extremum(f: FunctionExpression, r: float, n_coarse: int, tol: float,
                 break
             act, u, X, GX, E, right = (act[keep], u[keep], X[keep], GX[keep],
                                        E[keep], right[keep])
-            rounds += 1
+            rounds[act] += 1
+            R, S = radius[act], scale[act]
             trial_units = np.exp(1j * u)
-            fu = evaluate(f, r * trial_units)
-            gu = _slope(fu, evaluate(df, r * trial_units), trial_units,
-                        scale[act], sign)
-            evaluations += 2
-            samples += u.size
+            fu = evaluate(f, R * trial_units)
+            gu = _slope(fu, evaluate(df, R * trial_units), trial_units, S,
+                        sign)
             vu = sign * np.abs(fu)
 
             # A better u replaces x, and x becomes the end on the other
@@ -240,14 +291,26 @@ def _extremum(f: FunctionExpression, r: float, n_coarse: int, tol: float,
             now_e = np.where(now_right, b[act], a[act])
             stall[act] = np.where((now_right == right) & (now_e == E),
                                   stall[act] + 1, 0)
-            active[act] = _unresolved(x[act], gx[act], now_e, v[act],
-                                      scale[act], r, tol)
+            active[act] = _unresolved(x[act], gx[act], now_e, v[act], S, R,
+                                      tol)
 
-    k = int(np.argmin(v))
-    # |f| of finite values may overflow; report it saturated, like f itself
-    value = min(sign * float(v[k]), _SATURATED)
-    arg = float(x[k]) % (2 * math.pi)
-    return RadialExtremum(r, value, arg, samples, refined, evaluations, stop)
+    # A circle ran as many rounds as its longest bracket, and evaluated
+    # one new angle per bracket and round; its first least value wins.
+    results = []
+    start = 0
+    for r, count in zip(radii, counts):
+        end = start + count
+        k = start + int(np.argmin(v[start:end]))
+        # |f| of finite values may overflow; report it saturated, like f
+        value = min(sign * float(v[k]), _SATURATED)
+        arg = float(x[k]) % (2 * math.pi)
+        ran = rounds[start:end]
+        results.append(RadialExtremum(
+            r, value, arg, n_coarse + int(ran.sum()), refined,
+            2 + 2 * int(ran.max()) if refined else 1,
+            BUDGET if active[start:end].any() else CONVERGED))
+        start = end
+    return results
 
 
 def min_modulus(f: FunctionExpression, r: float, n_coarse: int = 4096,
@@ -265,13 +328,13 @@ def min_modulus(f: FunctionExpression, r: float, n_coarse: int = 4096,
     cannot change the reported minimum.  At most ``_MAX_ROUNDS`` rounds
     run; ``stop`` says whether they sufficed.
     """
-    return _extremum(f, r, n_coarse, tol, maximize=False)
+    return _extremum(f, [r], n_coarse, tol, maximize=False)[0]
 
 
 def max_modulus(f: FunctionExpression, r: float, n_coarse: int = 4096,
                 tol: float = 1e-10) -> RadialExtremum:
     """Global maximum of |f| over the circle |z| = r (see min_modulus)."""
-    return _extremum(f, r, n_coarse, tol, maximize=True)
+    return _extremum(f, [r], n_coarse, tol, maximize=True)[0]
 
 
 @dataclass(frozen=True)
@@ -308,37 +371,71 @@ def iterate_min_modulus(f: FunctionExpression, r0: float, n_max: int = 50,
     revisits any earlier value within relative ``revisit_rtol``, and with
     UNDECIDED when ``n_max`` steps elapse first.
     """
-    r0 = _check_radius(r0)
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    if not blow_up > r0:
-        raise ValueError("blow_up must exceed r0")
+    return iterate_min_modulus_many(f, [r0], n_max, blow_up, n_coarse, tol,
+                                    revisit_rtol, floor)[0]
 
-    seq = [r0]
-    args = []
-    verdict = UNDECIDED
-    witness: dict = {"note": f"no termination within {n_max} iterations"}
+
+def iterate_min_modulus_many(f: FunctionExpression, r0s, n_max: int = 50,
+                             blow_up: float = DEFAULT_BLOW_UP,
+                             n_coarse: int = 4096, tol: float = 1e-10,
+                             revisit_rtol: float = REVISIT_RTOL,
+                             floor: float = RADIUS_FLOOR
+                             ) -> list[MinModIterationReport]:
+    """``iterate_min_modulus`` from every start of ``r0s``, in lockstep.
+
+    Each step takes the minimum modulus on the circles of all starts
+    still running in one batched extremum call.  The reports equal those
+    of one call per start, and every start is checked, with the error a
+    call of its own would raise, before anything is evaluated.
+    """
+    starts = []
+    for r0 in r0s:
+        r0 = _check_radius(r0)
+        if n_max < 1:
+            raise ValueError("n_max must be at least 1")
+        if not blow_up > r0:
+            raise ValueError("blow_up must exceed r0")
+        starts.append(r0)
+
+    seqs = [[r0] for r0 in starts]
+    args: list[list[float]] = [[] for _ in starts]
+    ends = [(UNDECIDED, {"note": f"no termination within {n_max} iterations"})
+            for _ in starts]
+    running = list(range(len(starts)))
     for k in range(1, n_max + 1):
-        ext = min_modulus(f, seq[-1], n_coarse, tol)
-        value = ext.value
-        seq.append(value)
-        args.append(ext.arg_extremum)
-        if value > blow_up:
-            verdict = DIVERGES
-            witness = {"index": k, "value": value, "threshold": blow_up}
+        if not running:
             break
-        if value < floor:
-            verdict = NOT_DIVERGING
-            witness = {"index": k, "value": value, "floor": floor}
-            break
-        earlier = np.array(seq[:-1])
-        scale = np.maximum(np.abs(earlier), abs(value))
-        near = np.nonzero(np.abs(earlier - value) <= revisit_rtol * scale)[0]
-        if near.size:
-            verdict = NOT_DIVERGING
-            witness = {"index": k, "revisits": int(near[0]), "value": value}
-            break
-    return MinModIterationReport(r0, tuple(seq), tuple(args), verdict, witness)
+        exts = _extremum(f, [seqs[i][-1] for i in running], n_coarse, tol,
+                         maximize=False)
+        still = []
+        for i, ext in zip(running, exts):
+            seqs[i].append(ext.value)
+            args[i].append(ext.arg_extremum)
+            end = _iteration_end(seqs[i], k, blow_up, revisit_rtol, floor)
+            if end is None:
+                still.append(i)
+            else:
+                ends[i] = end
+        running = still
+    return [MinModIterationReport(r0, tuple(seq), tuple(arg), *end)
+            for r0, seq, arg, end in zip(starts, seqs, args, ends)]
+
+
+def _iteration_end(seq: list, k: int, blow_up: float, revisit_rtol: float,
+                   floor: float) -> Optional[tuple[str, dict]]:
+    """Verdict and witness once ``seq[k]`` ends the iteration, else None."""
+    value = seq[-1]
+    if value > blow_up:
+        return DIVERGES, {"index": k, "value": value, "threshold": blow_up}
+    if value < floor:
+        return NOT_DIVERGING, {"index": k, "value": value, "floor": floor}
+    earlier = np.array(seq[:-1])
+    scale = np.maximum(np.abs(earlier), abs(value))
+    near = np.nonzero(np.abs(earlier - value) <= revisit_rtol * scale)[0]
+    if near.size:
+        return NOT_DIVERGING, {"index": k, "revisits": int(near[0]),
+                               "value": value}
+    return None
 
 
 @dataclass(frozen=True)

@@ -93,6 +93,11 @@ _SHRINK = 1.0 - 2.0 ** -40
 # the starts in its working prefix are still active.
 _COMPACT_FRACTION = 0.9
 
+# The kernel refuses more history entries (rows times starts) than this,
+# 1 GB of real and imaginary parts; the default policy on the largest
+# grid needs 40.96M.
+MAX_HISTORY = 2 ** 26
+
 
 class PointClass(IntEnum):
     UNBOUNDED_SUSPECT = 1
@@ -233,9 +238,15 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
     the full window scan would.  The scan gathers the history of those
     candidates in blocks of rows and compares real parts first
     (|Re d| <= |d|, so no return is missed), then the complex modulus of
-    the hits; the smallest confirmed lag wins.
+    the hits; the smallest confirmed lag wins.  More history entries
+    (rows times starts) than ``MAX_HISTORY`` raise ValueError before
+    anything is allocated.
     """
     n, w, tol = z.size, policy.cycle_window, policy.cycle_tol
+    rows = min(w, policy.budget + 1)
+    if rows * n > MAX_HISTORY:
+        raise ValueError(f"history of {rows} rows by {n} starts is above "
+                         f"the cap of {MAX_HISTORY} entries")
     inner = policy.escape_radius / _BOUNDED_HEADROOM
     traps = [(t.center.real, t.center.imag, t.radius * t.radius * _SHRINK)
              for t in traps if _trap_fits(t.center, t.radius, policy.escape_radius)]
@@ -251,7 +262,7 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
     max_mod = np.abs(z)
     # Row s % w holds the orbit point at step s.  A window longer than
     # the budget never wraps, so rows past the budget are never written.
-    hist_re, hist_im = np.empty((2, min(w, policy.budget + 1), n))
+    hist_re, hist_im = np.empty((2, rows, n))
     hist_re[0], hist_im[0] = z.real, z.imag
     # Bounds on Re z over every history row the next scan reads.
     win_lo, win_hi = np.array([z.real, z.real])

@@ -28,7 +28,7 @@ from . import fileio
 from .curves import image_curve
 from .domains import Disc, Rect, RectUnion, boundary
 from .expressions import evaluate, parse
-from .modulus import DIVERGES, iterate_min_modulus
+from .modulus import DIVERGES, iterate_min_modulus, iterate_min_modulus_many
 from .orbits import (OrbitPolicy, PointClass, REPELLING, SUPERATTRACTING,
                      find_fixed_points)
 from .raster import (GridSpec, boundary_pixels, classify_grid,
@@ -126,8 +126,9 @@ def _run_ex51(emit) -> dict:
     # The iterated minimum modulus never diverges from integer starts.
     diverged = []
     verdict_counts: dict[str, int] = {}
-    for r0 in range(1, 51):
-        rep = iterate_min_modulus(f, float(r0), n_max=50, blow_up=1e50)
+    reports = iterate_min_modulus_many(f, [float(r0) for r0 in range(1, 51)],
+                                       n_max=50, blow_up=1e50)
+    for r0, rep in enumerate(reports, start=1):
         verdict_counts[rep.verdict] = verdict_counts.get(rep.verdict, 0) + 1
         if rep.verdict == DIVERGES:
             diverged.append(r0)

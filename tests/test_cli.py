@@ -114,6 +114,12 @@ BAD_FLAG_VALUES = {
     "spl-discs-huge": ["spl-check", "--f", "z", "--discs", "1e308,1e308"],
     "constant-image": ["surround-check", "--f", "1", "--discs", "1,2"],
     "minmod-n-coarse-zero": ["minmod", "--f", "z", "--r", "1", "--n-coarse", "0"],
+    "minmod-n-coarse-huge": ["minmod", "--f", "z", "--r", "1", "--n-coarse",
+                             "1000000000"],
+    "iterate-n-coarse-above-cap": ["minmod-iterate", "--f", "z", "--r", "1",
+                                   "--n-coarse", "1048577"],
+    "disc-seq-n-coarse-above-cap": ["disc-seq", "--f", "z", "--r", "1",
+                                    "--n-coarse", "1048577"],
     "minmod-tol-zero": ["minmod", "--f", "z", "--r", "1", "--tol", "0"],
     "minmod-tol-nan": ["minmod", "--f", "z", "--r", "1", "--tol", "nan"],
     "minmod-r-nan": ["minmod", "--f", "z", "--r", "nan"],
@@ -130,6 +136,9 @@ BAD_FLAG_VALUES = {
     "orbit-budget-zero": ["orbit", "--f", "z", "--z0", "1,0", "--budget", "0"],
     "orbit-cycle-window-zero": ["orbit", "--f", "z", "--z0", "1,0",
                                 "--cycle-window", "0"],
+    "orbit-history-above-cap": ["orbit", "--f", "z", "--z0", "1,0",
+                                "--budget", "1000000000",
+                                "--cycle-window", "1000000000"],
     "orbit-escape-radius-nan": ["orbit", "--f", "z", "--z0", "1,0",
                                 "--escape-radius", "nan"],
     "orbit-cycle-tol-negative": ["orbit", "--f", "z", "--z0", "1,0",
@@ -146,6 +155,9 @@ BAD_FLAG_VALUES = {
                                 "-1,1,0,1e-323", "--nx", "4", "--ny", "4"],
     "render-pixels-above-cap": ["render", "--f", "z", "--window", "-1,1,-1,1",
                                 "--nx", "100000", "--ny", "100000"],
+    "render-history-above-cap": ["render", "--f", "z^2", "--window",
+                                 "-1,1,-1,1", "--nx", "1000", "--ny", "1000",
+                                 "--cycle-window", "100"],
     "fixed-points-seeds-zero": ["fixed-points", "--f", "z", "--rect",
                                 "-1,1,-1,1", "--seeds", "0"],
     "fixed-points-max-newton-negative": ["fixed-points", "--f", "z", "--rect",

@@ -16,8 +16,9 @@ import pytest
 
 from orbitplane.domains import Rect
 from orbitplane.expressions import parse
-from orbitplane.orbits import _KINDS, CYCLE_LOCKED, OrbitPolicy, _iterate
-from orbitplane.raster import GridSpec
+from orbitplane.orbits import (_KINDS, CYCLE_LOCKED, MAX_HISTORY, OrbitPolicy,
+                               _iterate)
+from orbitplane.raster import MAX_PIXELS, GridSpec
 from reference_orbit import assert_kernel_matches
 
 RABBIT = "z^2 + (-0.1226 + 0.7449i)"
@@ -78,3 +79,16 @@ def test_real_parts_near_the_largest_float_raise_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert_kernel_matches(parse("-1.5*z"), starts, policy)
+
+
+def test_history_above_the_cap_is_refused_before_it_is_allocated():
+    # 10^9 rows of one start would ask numpy for 16 GB
+    policy = OrbitPolicy(budget=10**9, cycle_window=10**9)
+    with pytest.raises(ValueError, match="above the cap"):
+        _iterate(parse("z"), np.ones(1, dtype=np.complex128), policy)
+
+
+def test_default_policy_on_the_largest_grid_fits_the_history_cap():
+    policy = OrbitPolicy()
+    rows = min(policy.cycle_window, policy.budget + 1)
+    assert rows * MAX_PIXELS == 40_960_000 <= MAX_HISTORY
