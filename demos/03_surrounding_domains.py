@@ -47,5 +47,5 @@ for n, dom in zip(range(2, 7), domains):
     curve = boundary(dom, 4.0)
     curves_csv(os.path.join(OUT, f"boundary_D{n}.csv"), [curve])
     curves_csv(os.path.join(OUT, f"image_D{n}.csv"),
-               [image_curve(f, curve, max_step=None)])
+               [image_curve(f, curve)])
 print(f"curve CSVs written under {OUT}/ (re,im rows, blank line between curves)")

@@ -14,8 +14,7 @@ from .domains import (Disc, DomainSpec, Rect, RectUnion, boundary, clearance,
                       interior_point)
 from .errors import (AliasingUnresolved, CurveTooClose, DegenerateDomain,
                      ExprSyntaxError, InvalidRadius, NonEntireError,
-                     OrbitPlaneError, RadiusOutsideWindow,
-                     RefinementBudgetExceeded)
+                     OrbitPlaneError, RadiusOutsideWindow)
 from .expressions import (FunctionExpression, evaluate,
                           evaluate_with_overflow, parse)
 from .fileio import write_ppm
@@ -44,7 +43,7 @@ __all__ = [
     "InvalidRadius", "MinModIterationReport", "NOT_DIVERGING",
     "NestedDomainsReport", "NonEntireError", "OrbitPlaneError", "OrbitPolicy",
     "OrbitVerdict", "PixelClassification", "PointClass", "RadialExtremum",
-    "RadiusOutsideWindow", "Rect", "RectUnion", "RefinementBudgetExceeded",
+    "RadiusOutsideWindow", "Rect", "RectUnion",
     "SCENARIOS", "SampledCurve", "SpidersWebReport", "SplReport",
     "SurroundReport", "UNDECIDED", "boundary", "boundary_pixels",
     "check_spl", "check_nested_domains", "classification_from_array",

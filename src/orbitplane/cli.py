@@ -379,7 +379,7 @@ def _cmd_surround_check(args, outdir):
         for n, dom in enumerate(domains):
             curve = boundary(dom, args.density)
             fileio.curves_csv(os.path.join(outdir, f"boundary_{n}.csv"), [curve])
-            img = image_curve(f, curve, max_step=None)
+            img = image_curve(f, curve)
             fileio.curves_csv(os.path.join(outdir, f"image_{n}.csv"), [img])
     report = {"kind": "surround_check", "function": args.f,
               "domains": [fileio.encode_domain(d) for d in domains],

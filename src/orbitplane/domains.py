@@ -21,7 +21,7 @@ from typing import Union
 
 import numpy as np
 
-from .curves import SampledCurve
+from .curves import SampledCurve, _pow2_scale
 from .errors import DegenerateDomain
 
 __all__ = [
@@ -253,7 +253,11 @@ def _seg_point(p, q, r):
 
 
 def _point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from each point to the nearest of the segments (a[k], b[k])."""
+    """Distances from each point to the nearest of the segments (a[k], b[k]),
+    taken on huge inputs after scaling by a power of two (Blue, 1978)."""
+    s = _pow2_scale(points, a, b)
+    if s != 1.0:
+        return _point_segment_distance(points * s, a * s, b * s) / s
     return np.min(_seg_point(a[None, :], b[None, :], points[:, None]), axis=1)
 
 
@@ -365,8 +369,11 @@ def _segment_segment_distance(a1: np.ndarray, b1: np.ndarray,
 
     Returns an array of shape (len(a1),): for each segment in family 1
     the distance to the nearest segment of family 2 (0 when they cross).
+    Huge coordinates are scaled as in :func:`_point_segment_distance`.
     """
-    m, n = a1.size, a2.size
+    s = _pow2_scale(a1, b1, a2, b2)
+    if s != 1.0:
+        return _segment_segment_distance(a1 * s, b1 * s, a2 * s, b2 * s) / s
     p1, q1 = a1[:, None], b1[:, None]
     p2, q2 = a2[None, :], b2[None, :]
 
@@ -444,7 +451,7 @@ def boundary(domain: DomainSpec, density: float = 10.0) -> SampledCurve:
             u = np.asarray(u, dtype=np.float64)
             return c + r * np.exp(2j * np.pi * u)
 
-        return SampledCurve(source(t), True, t, source)
+        return SampledCurve(source(t), t, source)
 
     verts = domain.vertices()
     edges = np.roll(verts, -1) - verts
@@ -462,7 +469,7 @@ def boundary(domain: DomainSpec, density: float = 10.0) -> SampledCurve:
     _sample_count(sum(pieces))  # the whole boundary, not just each edge
     t = np.concatenate([knots[k] + (knots[k + 1] - knots[k]) * np.arange(n) / n
                         for k, n in enumerate(pieces)])
-    return SampledCurve(source(t), True, t, source)
+    return SampledCurve(source(t), t, source)
 
 
 def _sample_count(exact: float) -> int:

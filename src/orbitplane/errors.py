@@ -63,16 +63,5 @@ class AliasingUnresolved(OrbitPlaneError):
     at most pi/2 from the probe within the point budget."""
 
 
-class RefinementBudgetExceeded(OrbitPlaneError):
-    """Adaptive image refinement hit its point budget.
-
-    The partially refined curve is attached as ``partial``.
-    """
-
-    def __init__(self, message: str, partial=None):
-        self.partial = partial
-        super().__init__(message)
-
-
 class RadiusOutsideWindow(OrbitPlaneError):
     """A probe radius does not fit inside the raster window."""

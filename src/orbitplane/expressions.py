@@ -677,16 +677,14 @@ class FunctionExpression:
     """A validated entire function of one complex variable.
 
     Holds its postfix program (see the module docstring).  Immutable
-    after construction; the symbolic derivative is computed eagerly and
-    its expression is built once, on first use, so instances can be
-    shared freely across threads.
+    after construction; the symbolic derivative is built once, on first
+    use, so instances can be shared freely across threads.
     """
 
-    __slots__ = ("program", "derivative_program", "_text", "_derivative_expr")
+    __slots__ = ("program", "_text", "_derivative_expr")
 
     def __init__(self, program: tuple):
         object.__setattr__(self, "program", program)
-        object.__setattr__(self, "derivative_program", _derivative(program))
         object.__setattr__(self, "_text", _source(program))
         object.__setattr__(self, "_derivative_expr", None)
 
@@ -700,7 +698,7 @@ class FunctionExpression:
         if self._derivative_expr is None:
             # a race builds two equal expressions; either may be kept
             object.__setattr__(self, "_derivative_expr",
-                               FunctionExpression(self.derivative_program))
+                               FunctionExpression(_derivative(self.program)))
         return self._derivative_expr
 
     def to_source(self) -> str:

@@ -360,26 +360,22 @@ class MinModIterationReport:
 
 def iterate_min_modulus(f: FunctionExpression, r0: float, n_max: int = 50,
                         blow_up: float = DEFAULT_BLOW_UP,
-                        n_coarse: int = 4096, tol: float = 1e-10,
-                        revisit_rtol: float = REVISIT_RTOL,
-                        floor: float = RADIUS_FLOOR) -> MinModIterationReport:
+                        n_coarse: int = 4096, tol: float = 1e-10
+                        ) -> MinModIterationReport:
     """Iterate r -> min_modulus(f, r) from ``r0`` with divergence heuristics.
 
     Stops with DIVERGES when a value exceeds ``blow_up``, with
-    NOT_DIVERGING when a value falls below ``floor`` (a zero of f on the
-    circle makes further iterates meaningless in double precision) or
-    revisits any earlier value within relative ``revisit_rtol``, and with
+    NOT_DIVERGING when a value falls below ``RADIUS_FLOOR`` (a zero of f
+    on the circle makes further iterates meaningless in double precision)
+    or revisits any earlier value within relative ``REVISIT_RTOL``, and with
     UNDECIDED when ``n_max`` steps elapse first.
     """
-    return iterate_min_modulus_many(f, [r0], n_max, blow_up, n_coarse, tol,
-                                    revisit_rtol, floor)[0]
+    return iterate_min_modulus_many(f, [r0], n_max, blow_up, n_coarse, tol)[0]
 
 
 def iterate_min_modulus_many(f: FunctionExpression, r0s, n_max: int = 50,
                              blow_up: float = DEFAULT_BLOW_UP,
-                             n_coarse: int = 4096, tol: float = 1e-10,
-                             revisit_rtol: float = REVISIT_RTOL,
-                             floor: float = RADIUS_FLOOR
+                             n_coarse: int = 4096, tol: float = 1e-10
                              ) -> list[MinModIterationReport]:
     """``iterate_min_modulus`` from every start of ``r0s``, in lockstep.
 
@@ -411,7 +407,7 @@ def iterate_min_modulus_many(f: FunctionExpression, r0s, n_max: int = 50,
         for i, ext in zip(running, exts):
             seqs[i].append(ext.value)
             args[i].append(ext.arg_extremum)
-            end = _iteration_end(seqs[i], k, blow_up, revisit_rtol, floor)
+            end = _iteration_end(seqs[i], k, blow_up)
             if end is None:
                 still.append(i)
             else:
@@ -421,17 +417,17 @@ def iterate_min_modulus_many(f: FunctionExpression, r0s, n_max: int = 50,
             for r0, seq, arg, end in zip(starts, seqs, args, ends)]
 
 
-def _iteration_end(seq: list, k: int, blow_up: float, revisit_rtol: float,
-                   floor: float) -> Optional[tuple[str, dict]]:
+def _iteration_end(seq: list, k: int, blow_up: float
+                   ) -> Optional[tuple[str, dict]]:
     """Verdict and witness once ``seq[k]`` ends the iteration, else None."""
     value = seq[-1]
     if value > blow_up:
         return DIVERGES, {"index": k, "value": value, "threshold": blow_up}
-    if value < floor:
-        return NOT_DIVERGING, {"index": k, "value": value, "floor": floor}
+    if value < RADIUS_FLOOR:
+        return NOT_DIVERGING, {"index": k, "value": value, "floor": RADIUS_FLOOR}
     earlier = np.array(seq[:-1])
     scale = np.maximum(np.abs(earlier), abs(value))
-    near = np.nonzero(np.abs(earlier - value) <= revisit_rtol * scale)[0]
+    near = np.nonzero(np.abs(earlier - value) <= REVISIT_RTOL * scale)[0]
     if near.size:
         return NOT_DIVERGING, {"index": k, "revisits": int(near[0]),
                                "value": value}

@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -36,7 +34,6 @@ from .raster import (GridSpec, boundary_pixels, classify_grid,
 from .surround import check_spl, check_nested_domains
 
 __all__ = [
-    "Scenario",
     "SCENARIOS",
     "ex51_domain",
     "ex52_domain",
@@ -76,14 +73,6 @@ def ex52_domain(n: int) -> Rect:
 # Scenario definitions
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Scenario:
-    name: str
-    source: str
-    description: str
-    runner: Callable
-
-
 def _check(name: str, passed: bool, **details) -> dict:
     return {"name": name, "passed": bool(passed), "details": details}
 
@@ -119,7 +108,7 @@ def _run_ex51(emit) -> dict:
         curve = boundary(dom, 4.0)
         emit(f"ex51_boundary_D{n}.csv",
              lambda p, c=curve: fileio.curves_csv(p, [c]))
-        img = image_curve(f, curve, max_step=None)
+        img = image_curve(f, curve)
         emit(f"ex51_image_D{n}.csv",
              lambda p, c=img: fileio.curves_csv(p, [c]))
 
@@ -172,7 +161,7 @@ def _run_ex52(emit) -> dict:
     checks.append(_check("spl_suite", spl.condition_i and spl.condition_iii,
                          **fileio.encode_spl_report(spl)))
     for n, dom in enumerate(domains):
-        img = image_curve(f, boundary(dom, 4.0), max_step=None)
+        img = image_curve(f, boundary(dom, 4.0))
         emit(f"ex52_image_D{n}.csv", lambda p, c=img: fileio.curves_csv(p, [c]))
 
     # Fixed points on [0, 4 pi] x [-1, 1]: alternating superattracting
@@ -266,17 +255,9 @@ def _run_sinz(emit) -> dict:
     return {"function": SINZ_SOURCE, "checks": checks}
 
 
-SCENARIOS: dict[str, Scenario] = {
-    "ex51": Scenario("ex51", EX51_SOURCE,
-                     "nested two-rectangle domains with non-diverging "
-                     "minimum modulus", _run_ex51),
-    "ex52": Scenario("ex52", EX52_SOURCE,
-                     "strongly polynomial-like with a bounded real axis",
-                     _run_ex52),
-    "sinz": Scenario("sinz", SINZ_SOURCE,
-                     "the real line disconnects the unbounded suspects",
-                     _run_sinz),
-}
+# Each runner takes ``emit(filename, writer)`` and returns its function and
+# checks.
+SCENARIOS = {"ex51": _run_ex51, "ex52": _run_ex52, "sinz": _run_sinz}
 
 
 def run_scenario(name: str, outdir) -> dict:
@@ -296,7 +277,7 @@ def run_scenario(name: str, outdir) -> dict:
         writer(path)
         files.append(filename)
 
-    body = SCENARIOS[name].runner(emit)
+    body = SCENARIOS[name](emit)
     report = {
         "kind": "scenario",
         "name": name,

@@ -7,9 +7,11 @@ winding number about every interior probe point is nonzero (and the same
 for all probes).  Both ingredients are finite evidence, not proof, and
 every report says so.
 
-The sample clearances that the last chord-refinement round computes are
-reused: they give the deepest penetration and bound which segments can
-hold the least distance to the domain.  The windings of all probes come
+Each check maps a domain boundary with :func:`curves.image_curve`, which
+does not refine; :func:`surrounds` bisects the image's chords that are
+longer than their endpoints' clearance from the target.  The clearances
+of the last round give the deepest penetration and bound which segments
+can hold the least distance to the domain.  The windings of all probes come
 from one call of :func:`curves.winding_numbers`, a crossing count per
 lattice row.
 
@@ -18,7 +20,8 @@ requires the image curve merely to stay out of the open target domain,
 with a small touch tolerance so that exact boundary-to-boundary maps
 (such as squaring on a disc chain) pass.  The strongly-polynomial-like
 check requires the image to clear the *closure* of its own domain by a
-positive margin.
+positive margin.  Both are fixed fractions of a diameter, and
+``_MAX_POINTS`` caps the refined curve and the probe lattice.
 """
 
 from __future__ import annotations
@@ -51,6 +54,14 @@ FINITE_HORIZON_NOTE = (
 
 # Rounds of clearance-driven bisection before segment distances are trusted.
 _REFINE_ROUNDS = 48
+
+# Most samples a curve, and most points a probe lattice, may have.
+_MAX_POINTS = 200_000
+
+# Touch tolerance of the nested-domain check and closure margin of the
+# strongly-polynomial-like check, relative to the target's diameter.
+_TOUCH_RTOL = 1e-9
+_CLOSURE_EPS_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -88,8 +99,7 @@ def _probe_points(domain: DomainSpec, probe_grid: int) -> np.ndarray:
 
 def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
               *, min_distance_required: float = 0.0,
-              touch_tolerance: float | None = None,
-              max_points: int = 200_000) -> SurroundReport:
+              touch_tolerance: float | None = None) -> SurroundReport:
     """Check that ``curve`` surrounds ``domain``.
 
     Default (strict): the curve must not intersect the closed domain
@@ -103,11 +113,9 @@ def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
     right test against open target domains whose boundary the image may
     hit exactly.
     """
-    if not curve.closed:
-        raise ValueError("surrounds requires a closed curve")
-    if int(probe_grid) ** 2 > max_points:
+    if int(probe_grid) ** 2 > _MAX_POINTS:
         raise ValueError(f"a {int(probe_grid)} x {int(probe_grid)} probe "
-                         f"lattice exceeds the {max_points}-point cap")
+                         f"lattice exceeds the {_MAX_POINTS}-point cap")
 
     c = None
 
@@ -124,7 +132,7 @@ def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
 
     # refine calls too_long last on the curve it returns, so ``c`` holds
     # that curve's clearances.
-    work, stop = refine(curve, too_long, max_points, _REFINE_ROUNDS)
+    work, stop = refine(curve, too_long, _MAX_POINTS, _REFINE_ROUNDS)
     max_penetration = float(max(0.0, -np.min(c)))
     min_distance = _curve_distance(work, domain, c)
 
@@ -137,7 +145,7 @@ def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
     try:
         values = winding_numbers(
             work, probes, min_clearance=min(1e-9, max(min_distance / 2, 1e-300)),
-            max_points=max_points)
+            max_points=_MAX_POINTS)
         windable = True
     except CurveTooClose as exc:
         values, windable = exc.partial, False
@@ -195,25 +203,22 @@ class NestedDomainsReport:
 
 
 def check_nested_domains(f: FunctionExpression, domains: list[DomainSpec],
-                    density: float = 4.0, probe_grid: int = 5,
-                    *, touch_rtol: float = 1e-9,
-                    max_points: int = 200_000) -> NestedDomainsReport:
+                    density: float = 4.0, probe_grid: int = 5
+                    ) -> NestedDomainsReport:
     """Check the nested-domain conditions on a finite family.
 
     For each consecutive pair, the image of the boundary of ``D[n]``
     under ``f`` must surround ``D[n+1]``; touching the target boundary
-    within ``touch_rtol * diameter`` is tolerated because equality cases
+    within ``_TOUCH_RTOL * diameter`` is tolerated because equality cases
     (boundary mapping exactly onto boundary) are legitimate.
     """
     if len(domains) < 2:
         raise ValueError("need at least two domains")
     pairs = []
     for n in range(len(domains) - 1):
-        img = image_curve(f, boundary(domains[n], density), max_step=None,
-                          max_points=max_points)
-        tol = touch_rtol * diameter(domains[n + 1])
-        rep = surrounds(img, domains[n + 1], probe_grid,
-                        touch_tolerance=tol, max_points=max_points)
+        img = image_curve(f, boundary(domains[n], density))
+        tol = _TOUCH_RTOL * diameter(domains[n + 1])
+        rep = surrounds(img, domains[n + 1], probe_grid, touch_tolerance=tol)
         pairs.append(PairCheck(n, rep))
     inradii = tuple(inradius_about(d, 0j) for d in domains)
     increasing = all(b > a for a, b in zip(inradii, inradii[1:]))
@@ -250,19 +255,15 @@ class SplReport:
 
 
 def check_spl(f: FunctionExpression, domains: list[DomainSpec],
-              density: float = 4.0, probe_grid: int = 5,
-              *, closure_eps_rtol: float = 1e-9,
-              max_points: int = 200_000) -> SplReport:
+              density: float = 4.0, probe_grid: int = 5) -> SplReport:
     """Check the strongly-polynomial-like conditions on a finite family."""
     if len(domains) < 2:
         raise ValueError("need at least two domains")
     self_surround = []
     for n, dom in enumerate(domains):
-        img = image_curve(f, boundary(dom, density), max_step=None,
-                          max_points=max_points)
-        eps = closure_eps_rtol * diameter(dom)
-        rep = surrounds(img, dom, probe_grid,
-                        min_distance_required=eps, max_points=max_points)
+        img = image_curve(f, boundary(dom, density))
+        eps = _CLOSURE_EPS_RTOL * diameter(dom)
+        rep = surrounds(img, dom, probe_grid, min_distance_required=eps)
         self_surround.append(PairCheck(n, rep))
     nested = tuple(contains_closure(domains[n + 1], domains[n])
                    for n in range(len(domains) - 1))

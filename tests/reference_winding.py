@@ -34,8 +34,6 @@ def reference_winding(curve: SampledCurve, w: complex,
     of ``w``, and :class:`AliasingUnresolved` if refinement cannot settle
     within the point budget or stops adding points.
     """
-    if not curve.closed:
-        raise ValueError("winding_number requires a closed curve")
     inc = None
 
     def aliased(c: SampledCurve) -> np.ndarray:

@@ -341,6 +341,20 @@ def test_fixed_points_of_huge_function_keep_stderr_empty(tmp_path):
     assert json.loads(proc.stdout)["kind"] == "fixed_points"
 
 
+def test_surround_check_of_huge_function_keeps_stderr_empty(tmp_path):
+    # the image circle has radius ~1.4e308: squares and products of its
+    # coordinates overflow unless they are scaled first
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "orbitplane.cli", "--out", str(tmp_path),
+         "surround-check", "--f", "1e308*(1+i)*z", "--discs", "1,2"],
+        capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    pair = json.loads(proc.stdout)["pairs"][0]["report"]
+    assert pair["min_distance"] > 1.4e308
+
+
 def test_newton_step_on_huge_derivative_finds_the_fixed_point(tmp_path):
     # numpy's complex division overflows on g / g' at g' = 1e308 (1 + i);
     # scaling both by a power of two finds the fixed point 0

@@ -67,7 +67,6 @@ def test_plus_shape_union_traces():
 def test_boundary_disc_density():
     curve = boundary(Disc(0j, 1.0), 10.0)
     assert len(curve) >= 62
-    assert curve.closed
     np.testing.assert_allclose(np.abs(curve.points), 1.0, atol=1e-12)
     # positively oriented: winding of the sampling about 0 is +1
     angles = np.unwrap(np.angle(curve.points))

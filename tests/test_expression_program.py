@@ -71,7 +71,7 @@ def assert_matches_oracle(f, points=POINTS):
     for g in (f, f.derivative(), f.derivative().derivative()):
         tree = tree_of(g.program)
         assert tree._source() == g.to_source()
-        assert tree_of(g.derivative_program) == tree._derivative()
+        assert tree_of(g.derivative().program) == tree._derivative()
         want, want_flags = tree_evaluate_with_overflow(tree, points)
         got, got_flags = evaluate_with_overflow(g, points)
         assert got.tobytes() == want.tobytes(), g

@@ -43,8 +43,8 @@ def test_atomic_write_mode_follows_umask(tmp_path, umask, mode):
 
 
 def test_curves_csv_blank_line_between_curves(tmp_path):
-    a = SampledCurve(np.array([0j, 1 + 0j, 1j]), closed=True)
-    b = SampledCurve(np.array([2 + 0j, 3 + 0j, 3 + 1j]), closed=True)
+    a = SampledCurve(np.array([0j, 1 + 0j, 1j]))
+    b = SampledCurve(np.array([2 + 0j, 3 + 0j, 3 + 1j]))
     path = tmp_path / "curves.csv"
     fileio.curves_csv(path, [a, b])
     text = path.read_bytes().decode("utf-8")

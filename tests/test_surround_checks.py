@@ -225,8 +225,23 @@ def test_reports_carry_finite_horizon_note(ex52):
 
 
 def test_probe_lattice_above_cap_is_refused_before_allocating():
-    curve = image_curve(parse("2*z"), boundary(Disc(0j, 1.0), 4.0), max_step=None)
+    curve = image_curve(parse("2*z"), boundary(Disc(0j, 1.0), 4.0))
     for grid in (448, 100_000):  # 100,000^2 probes would need 149 GiB
         with pytest.raises(ValueError, match="probe lattice"):
             surrounds(curve, Disc(0j, 1.0), grid)
     assert surrounds(curve, Disc(0j, 1.0), 447).verdict
+
+
+def test_huge_image_reports_its_true_distance():
+    # |z| = 1 takes 26 samples at density 4, so its image under
+    # 1e308 (1 + i) z is a regular 26-gon of circumradius sqrt(2) 1e308;
+    # the disc of radius 2 is nearest to the middles of its edges
+    rep = check_nested_domains(parse("1e308*(1+i)*z"),
+                               [Disc(0j, 1.0), Disc(0j, 2.0)])
+    pair = rep.pairs[0].report
+    assert (pair.curve_points, pair.refine_stop) == (26, "converged")
+    want = math.sqrt(2) * 1e308 * math.cos(PI / 26) - 2
+    assert pair.min_distance == pytest.approx(want, rel=1e-12)
+    assert pair.probes_tested == 21
+    assert {wn for _, wn in pair.winding_values} == {1}
+    assert rep.verdict

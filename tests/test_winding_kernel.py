@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 from reference_winding import reference_winding
 
-from orbitplane.curves import (SampledCurve, image_curve, winding_number,
-                               winding_numbers)
+from orbitplane.curves import (SampledCurve, _crossings, _hits, image_curve,
+                               winding_number, winding_numbers)
 from orbitplane.domains import (Disc, Rect, RectUnion, _point_segment_distance,
                                 _segment_segment_distance, boundary, contains,
                                 curve_distance)
@@ -56,7 +56,7 @@ def random_polygon(rng, n):
     if rng.random() < 0.5:
         angles = rng.permutation(angles)
     radii = rng.uniform(0.3, 3.0, n)
-    return SampledCurve(radii * np.exp(1j * angles), True)
+    return SampledCurve(radii * np.exp(1j * angles))
 
 
 @pytest.mark.parametrize("k", [5, 7, 9])
@@ -156,7 +156,7 @@ def test_thales_test_survives_rounding_of_the_disc_filter():
                 and math.hypot(w.real - mid.real, w.imag - mid.imag) > radius):
             continue
         c = mid - 40 * radius * 1j * (b - a) / abs(b - a)
-        curve = SampledCurve(np.array([a, b, c]), True)
+        curve = SampledCurve(np.array([a, b, c]))
         with pytest.raises(AliasingUnresolved, match="budget"):
             winding_numbers(curve, [w], min_clearance=1e-300, max_points=3)
         found += 1
@@ -198,7 +198,7 @@ def curves_around(rng, domain, count):
             radii = size * rng.uniform(0.5, 1.5, n)
         else:  # many short segments hugging the boundary
             radii = size * (1.05 + 0.3 * rng.random()) * (1 + 0.05 * rng.random(n))
-        yield SampledCurve(center + radii * np.exp(1j * angles), True)
+        yield SampledCurve(center + radii * np.exp(1j * angles))
 
 
 @pytest.mark.parametrize("name", sorted(DISTANCE_DOMAINS))
@@ -231,6 +231,55 @@ def test_curve_distance_long_chords_and_touching(name):
         [complex(x1 - w, y1 + h), complex(x1 + w, y1 - h), complex(x1 + 3 * w, y1 + 3 * h)],
     ]
     for points in cases:
-        curve = SampledCurve(np.array(points), True)
-        for c in (curve, curve.reversed()):
+        curve = SampledCurve(np.array(points))
+        for c in (curve, SampledCurve(curve.points[::-1])):
             assert curve_distance(c, domain) == unfiltered_distance(c, domain)
+
+
+# --- huge coordinates -----------------------------------------------------
+
+# Products of coordinates this large overflow unless they are scaled first.
+BIG = 2.0 ** 520
+
+
+@pytest.mark.parametrize("k", [5, 9])
+def test_huge_curves_wind_as_their_scaled_down_copies(k):
+    # scaling by a power of two is exact, so every sign the kernel reads
+    # is that of the small curve: same hits, crossings and windings
+    rng = np.random.default_rng(900 + k)
+    for _ in range(10):
+        curve = random_polygon(rng, int(rng.integers(3, 25)))
+        huge = SampledCurve(curve.points * BIG)
+        x0, x1 = curve.points.real.min(), curve.points.real.max()
+        y0, y1 = curve.points.imag.min(), curve.points.imag.max()
+        probes = lattice(x0, x1, y0, y1, k)
+        for clearance in (1e-9, 0.05):
+            for got, want in zip(_hits(huge, probes * BIG, clearance * BIG),
+                                 _hits(curve, probes, clearance)):
+                assert np.array_equal(got, want)
+        assert np.array_equal(_crossings(huge, probes * BIG),
+                              _crossings(curve, probes))
+        want, error = oracle(curve, probes)
+        if error is None:
+            got = winding_numbers(huge, probes * BIG, min_clearance=1e-9 * BIG)
+            assert got.tolist() == want
+
+
+@pytest.mark.parametrize("name", sorted(DISTANCE_DOMAINS))
+def test_huge_segment_distances_scale_exactly(name):
+    domain = DISTANCE_DOMAINS[name]
+    rng = np.random.default_rng(sum(map(ord, name)) + 1)
+    for curve in curves_around(rng, domain, 12):
+        a, b = curve.segment_starts(), curve.segment_ends()
+        if isinstance(domain, Disc):
+            v = np.array([domain.center])
+            want = _point_segment_distance(v, a, b)
+            got = _point_segment_distance(v * BIG, a * BIG, b * BIG)
+        else:
+            v, w = domain.vertices(), np.roll(domain.vertices(), -1)
+            want = _segment_segment_distance(a, b, v, w)
+            got = _segment_segment_distance(a * BIG, b * BIG, v * BIG, w * BIG)
+            assert np.array_equal(
+                _point_segment_distance(curve.points * BIG, v * BIG, w * BIG),
+                _point_segment_distance(curve.points, v, w) * BIG)
+        assert np.array_equal(got, want * BIG)

@@ -41,7 +41,7 @@ def winding_cases(draw):
         probes[draw(st.integers(0, probes.size - 1))] = points[draw(st.integers(0, n - 1))]
     min_clearance = draw(st.sampled_from([1e-300, 1e-9, 1e-2]))
     max_points = draw(st.sampled_from([n, 64, 2_000]))
-    return SampledCurve(points, True), probes, min_clearance, max_points
+    return SampledCurve(points), probes, min_clearance, max_points
 
 
 @settings(max_examples=150, deadline=None)
