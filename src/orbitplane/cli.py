@@ -171,7 +171,7 @@ def _refusable(what: str, call, *call_args):
     library refuses what only several flags together make wrong, such as
     a --blow-up not above --r, fewer than two domains, a boundary or probe
     lattice above the sample cap, an orbit history above its cap, or a
-    boundary mapped to a single point.
+    boundary mapped to a single point or beyond the double range.
     """
     try:
         return call(*call_args)
@@ -315,9 +315,10 @@ def _expand_config(argv: list[str]) -> list[str]:
             key, value = line.split("=", 1)
             injected += [f"--{key.strip()}", value.strip()]
     # Config defaults go right after the subcommand (and its positional,
-    # for scenario) so explicit flags, parsed later, win.
+    # for scenario) so explicit flags, parsed later, win.  The value of a
+    # root --out may name a subcommand too; it is not the subcommand.
     for k, token in enumerate(rest):
-        if token in _COMMANDS:
+        if token in _COMMANDS and (k == 0 or rest[k - 1] != "--out"):
             at = k + 2 if token == "scenario" else k + 1
             at = min(at, len(rest))
             return rest[:at] + injected + rest[at:]

@@ -9,7 +9,8 @@ local refinement possible: new samples are taken on the true curve, not
 interpolated from old ones.
 
 :func:`image_curve` is a plain map: it maps the samples and composes the
-source with the function, and refines nothing.  All refinement is
+source with the function, and refines nothing; an image that leaves the
+double range is refused, not kept as saturated points.  All refinement is
 :func:`refine`: it bisects the segments a predicate flags and says why
 it stopped (``converged``, ``budget``, ``rounds`` or ``stalled``).  Its
 two predicates are the winding aliasing test here and the clearance
@@ -35,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import AliasingUnresolved, CurveTooClose
-from .expressions import FunctionExpression, evaluate
+from .expressions import FunctionExpression, evaluate_with_overflow
 
 __all__ = ["SampledCurve", "image_curve", "refine", "winding_number",
            "winding_numbers"]
@@ -178,12 +179,22 @@ def image_curve(f: FunctionExpression, curve: SampledCurve) -> SampledCurve:
 
     The samples are mapped and the source is composed with ``f``, so
     that later refinement samples the true image; consecutive samples
-    with equal images are merged.
+    with equal images are merged.  Raises ValueError when ``f`` overflows
+    at any sample, whether mapped here or by the composed source.
     """
     if curve.params is None:
         raise ValueError("image_curve requires source parameters")
     src = curve.source or _as_polyline(curve).source
-    composed = lambda t: evaluate(f, np.asarray(src(t), dtype=np.complex128))
+
+    def composed(t):
+        z = np.asarray(src(t), dtype=np.complex128)
+        values, overflow = evaluate_with_overflow(f, z)
+        if overflow.any():
+            where = complex(z[overflow][0])
+            raise ValueError(f"f overflows at curve point {where}: "
+                             "its image leaves the double range")
+        return values
+
     return _dedupe(composed(curve.params), curve.params, composed)
 
 

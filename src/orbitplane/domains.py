@@ -333,12 +333,12 @@ def interior_point(domain: DomainSpec) -> complex:
     return interior_point(largest)
 
 
-def inradius_about(domain: DomainSpec, center: complex = 0j) -> float:
-    """Radius of the largest disc about ``center`` inside the domain.
+def inradius_about(domain: DomainSpec) -> float:
+    """Radius of the largest disc about 0 inside the domain.
 
-    Zero when ``center`` is not an interior point.
+    Zero when 0 is not an interior point.
     """
-    c = clearance(domain, center)[0]
+    c = clearance(domain, 0j)[0]
     return float(-c) if c < 0 else 0.0
 
 

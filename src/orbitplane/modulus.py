@@ -448,13 +448,16 @@ class DiscSequence:
 
 
 def derive_disc_sequence(f: FunctionExpression, r0: float, count: int,
-                         n_coarse: int = 4096, tol: float = 1e-10,
-                         blow_up: float = DEFAULT_BLOW_UP) -> DiscSequence:
-    """Discs centred at 0 with radii m^n(r0) for n = 0 .. count-1."""
+                         n_coarse: int = 4096, tol: float = 1e-10
+                         ) -> DiscSequence:
+    """Discs centred at 0 with radii m^n(r0) for n = 0 .. count-1.
+
+    The iteration stops as diverging above ``DEFAULT_BLOW_UP``.
+    """
     if count < 1:
         raise ValueError("count must be at least 1")
     report = iterate_min_modulus(f, r0, n_max=count - 1 if count > 1 else 1,
-                                 blow_up=blow_up, n_coarse=n_coarse, tol=tol)
+                                 n_coarse=n_coarse, tol=tol)
     discs = []
     for n, radius in enumerate(report.sequence[:count]):
         if not (radius > 0 and math.isfinite(radius)):

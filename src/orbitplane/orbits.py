@@ -9,10 +9,6 @@ was left.  Cycle detection confirms every near-return by replaying one
 full period before locking, which avoids false positives from slow
 spirals.  One batched orbit kernel applies these rules: a single orbit
 is a batch of one, and ``raster.classify_grid`` runs it on every pixel.
-The kernel looks for near-returns only at starts whose Re z lies within
-the tolerance of a running hull of their recent real parts, so orbits
-that drift monotonically, like those creeping towards a parabolic
-point, skip the history scan altogether.
 
 A grid may also stop a start early in a certified trap: a closed disc
 D = D(c, rho) that f provably maps into itself (see ``traps``), so an
@@ -212,8 +208,8 @@ _Stops = namedtuple("_Stops", "kind step escape_modulus period representative "
                     "max_modulus")
 
 
-# Differences of real parts near the largest float may overflow: -inf
-# keeps a start in the scan and +inf drops it, both rightly.
+# The scan's ``h -= re_cols`` overflows where real parts lie near the
+# largest float; an infinite difference is rightly no near-return.
 @np.errstate(over="ignore")
 def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
              traps=()) -> _Stops:
@@ -229,14 +225,9 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
 
     Per-start state lives in the prefix ``[:nc]`` of its arrays and is
     compacted in place once few enough of those starts are still active.
-    Each start keeps a hull [win_lo, win_hi] of Re z over a superset of
-    its history window: every ``cycle_window`` steps it is rebuilt from
-    the history rows, and in between it grows by each new Re z (the
-    running min/max of van Herk and Gil & Werman, loosened to a
-    superset).  Only starts with no pending return whose Re z lies within
-    ``cycle_tol`` of the hull are scanned, so the scan finds every return
-    the full window scan would.  The scan gathers the history of those
-    candidates in blocks of rows and compares real parts first
+    Every alive start with no pending return is scanned for near-returns
+    against its history window.  The scan gathers the history of those
+    starts in blocks of rows and compares real parts first
     (|Re d| <= |d|, so no return is missed), then the complex modulus of
     the hits; the smallest confirmed lag wins.  More history entries
     (rows times starts) than ``MAX_HISTORY`` raise ValueError before
@@ -264,8 +255,6 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
     # the budget never wraps, so rows past the budget are never written.
     hist_re, hist_im = np.empty((2, rows, n))
     hist_re[0], hist_im[0] = z.real, z.imag
-    # Bounds on Re z over every history row the next scan reads.
-    win_lo, win_hi = np.array([z.real, z.real])
     # A pending near-return is due at this step, against the target and
     # lag already stored in representative and period; -1 when none, and
     # 0, a step that never comes, once the start has stopped.
@@ -312,13 +301,7 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
 
         zr = z[:nc]
         re = zr.real
-        lo, hi = win_lo[:nc], win_hi[:nc]
-        # Rounding is monotone: lo - x >= tol rules out |h - x| < tol for
-        # every history value h >= lo, and likewise on the hi side.
-        scan = lo - re < tol
-        scan &= re - hi < tol
-        scan &= pending_due[:nc] < 0  # alive, and no return pending
-        cols = scan.nonzero()[0]
+        cols = (pending_due[:nc] < 0).nonzero()[0]  # alive, no return pending
         if cols.size:
             re_cols = re[cols]
             rows = min(step, w)  # history rows written so far
@@ -351,19 +334,13 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
 
         hist_re[step % w, :nc] = re
         hist_im[step % w, :nc] = zr.imag
-        if step % w == 0:  # the rows now hold steps step - w + 1 .. step
-            np.min(hist_re[:, :nc], axis=0, out=lo)
-            np.max(hist_re[:, :nc], axis=0, out=hi)
-        else:
-            np.minimum(lo, re, out=lo)
-            np.maximum(hi, re, out=hi)
 
         n_alive = int(np.count_nonzero(alive[:nc]))
         if n_alive == 0:
             break
         if n_alive < _COMPACT_FRACTION * nc:
             keep = alive[:nc].nonzero()[0]
-            for arr in (z, orig, max_mod, pending_due, win_lo, win_hi):
+            for arr in (z, orig, max_mod, pending_due):
                 arr[:n_alive] = arr[keep]
             for plane in (hist_re, hist_im):
                 for row in plane[:min(step + 1, w)]:  # rows written so far

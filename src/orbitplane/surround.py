@@ -220,7 +220,7 @@ def check_nested_domains(f: FunctionExpression, domains: list[DomainSpec],
         tol = _TOUCH_RTOL * diameter(domains[n + 1])
         rep = surrounds(img, domains[n + 1], probe_grid, touch_tolerance=tol)
         pairs.append(PairCheck(n, rep))
-    inradii = tuple(inradius_about(d, 0j) for d in domains)
+    inradii = tuple(inradius_about(d) for d in domains)
     increasing = all(b > a for a, b in zip(inradii, inradii[1:]))
     return NestedDomainsReport(tuple(pairs), inradii, increasing)
 
@@ -267,6 +267,6 @@ def check_spl(f: FunctionExpression, domains: list[DomainSpec],
         self_surround.append(PairCheck(n, rep))
     nested = tuple(contains_closure(domains[n + 1], domains[n])
                    for n in range(len(domains) - 1))
-    inradii = tuple(inradius_about(d, 0j) for d in domains)
+    inradii = tuple(inradius_about(d) for d in domains)
     increasing = all(b > a for a, b in zip(inradii, inradii[1:]))
     return SplReport(tuple(self_surround), nested, inradii, increasing)

@@ -355,6 +355,26 @@ def test_surround_check_of_huge_function_keeps_stderr_empty(tmp_path):
     assert pair["min_distance"] > 1.4e308
 
 
+@pytest.mark.parametrize("argv", [
+    ["spl-check", "--f", "1e308*(1+i)*z", "--discs", "1,2"],
+    ["surround-check", "--f", "exp(z)", "--discs", "710,1e4", "--density", "0.5"],
+], ids=["spl-image-of-radius-2", "surround-exp-at-710"])
+def test_boundary_image_that_overflows_is_refused(tmp_path, argv):
+    # the image of the first circle leaves the double range; saturated
+    # samples are not points of it
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "orbitplane.cli",
+         "--out", str(tmp_path), *argv],
+        capture_output=True, text=True, env=env, check=False)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    error = json.loads(proc.stderr)
+    assert error["error_type"] == "usage"
+    assert "overflows" in error["message"]
+    assert os.listdir(tmp_path) == []
+
+
 def test_newton_step_on_huge_derivative_finds_the_fixed_point(tmp_path):
     # numpy's complex division overflows on g / g' at g' = 1e308 (1 + i);
     # scaling both by a power of two finds the fixed point 0
@@ -465,6 +485,18 @@ def test_config_file_defaults_and_flag_priority(tmp_path):
                "--f", "z^2", "--r", "3") == 0
     rep = load_and_validate(tmp_path, "minmod_iterate.json")
     assert rep["r0"] == 3.0
+
+
+def test_config_flags_follow_the_subcommand_when_out_names_one(tmp_path,
+                                                               monkeypatch):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("n-max=3\n")
+    monkeypatch.chdir(tmp_path)
+    for n, out in enumerate((["--out", "minmod"], ["--out=minmod"])):
+        assert main([*out, "--config", str(cfg), "minmod-iterate", "--f", "z^2",
+                     "--r", str(2 + n)]) == 0
+        rep = load_and_validate(tmp_path / "minmod", "minmod_iterate.json")
+        assert (rep["r0"], rep["n_max"]) == (2 + n, 3)
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):

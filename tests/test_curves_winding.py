@@ -85,6 +85,17 @@ def test_image_requires_closed_parameterized_curve():
         image_curve(parse("z"), bare)
 
 
+def test_image_that_overflows_at_a_refinement_sample_is_refused():
+    # exp overflows only near t = 0 on the circle of radius 710, which the
+    # three samples miss; bisecting the closing segment samples t = 0
+    t = np.array([0.25, 0.5, 0.75])
+    circle = SampledCurve(710 * np.exp(2j * PI * t), t,
+                          lambda u: 710 * np.exp(2j * PI * np.asarray(u)))
+    img = image_curve(parse("exp(z)"), circle)
+    with pytest.raises(ValueError, match="overflows"):
+        refine(img, lambda c: np.array([len(c) - 1]), 100)
+
+
 def test_winding_matches_root_counts():
     # argument principle against the companion-matrix root finder
     rng = np.random.default_rng(137)

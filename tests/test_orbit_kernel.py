@@ -1,11 +1,13 @@
-"""The orbit kernel against the reference loop where the Re z hull matters.
+"""The orbit kernel against the reference loop on grids that stress its scan.
 
-``orbits._iterate`` scans a start for near-returns only while its Re z is
-within ``cycle_tol`` of a running hull of its history window; the hull is
-rebuilt from the history rows every ``cycle_window`` steps and moves with
-the start when the working set is compacted.  These grids lock long after
-the first window, so a hull that forgets a row, follows another start or
-loses the tolerance makes some start lock late, at another lag, or never.
+``orbits._iterate`` scans every alive start with no pending return for
+near-returns against its history window, and compacts the working set
+as starts stop.  These grids pin what that scan must get right: starts
+that lock long after the first window, so a history row that is lost
+or follows another start makes some start lock late, at another lag,
+or never; coincidental near-returns that fail to confirm, at every lag;
+a monotone approach to a fixed point at window 1; and real parts near
+the largest float, whose differences overflow.
 """
 
 import hashlib
@@ -26,7 +28,7 @@ LOGISTIC = "4*z*(1-z)"
 
 # SHA-256 of the kind, step and period arrays of _iterate (uint8, int32,
 # int32) for z^2 - 1.3107 on [-1.5,1.5]x[-0.3,0.3] at 200x40 with budget 64
-# and cycle window 8, hashed before the hull prefilter existed.
+# and cycle window 8.
 PERIOD_4_STOPS_SHA256 = (
     "7761e0410321c3b660c70c4a6e9f8963eebc03f096310a7f6f13edc14282a0c1")
 
@@ -48,8 +50,8 @@ PERIOD_4_STOPS_SHA256 = (
     (LOGISTIC, Rect(0.0, 1.0, -1e-6, 1e-6), 200, 2,
      OrbitPolicy(budget=40, escape_radius=4.0, cycle_tol=0.1,
                  cycle_window=3)),
-    # real parts approach the attracting fixed point monotonically, so
-    # each new Re z lies just outside the hull, within the tolerance
+    # real parts approach the attracting fixed point monotonically, and
+    # the window holds only the previous point
     ("z^2 + 0.2", Rect(-1.0, 1.0, -0.5, 0.5), 20, 10,
      OrbitPolicy(budget=60, cycle_window=1)),
 ], ids=["period-4-window-8", "rabbit-window-3", "rabbit-window-8-huge-radius",
