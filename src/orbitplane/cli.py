@@ -294,14 +294,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _expand_config(argv: list[str]) -> list[str]:
-    """Inline --config key=value pairs ahead of the explicit flags."""
-    if "--config" not in argv:
+    """Inline --config key=value pairs ahead of the explicit flags.
+
+    The file is named as ``--config FILE`` or ``--config=FILE``.
+    """
+    at = next((k for k, token in enumerate(argv)
+               if token == "--config" or token.startswith("--config=")), None)
+    if at is None:
         return argv
-    at = argv.index("--config")
-    if at + 1 >= len(argv):
-        raise SystemExit2("--config needs a file path")
-    path = argv[at + 1]
-    rest = argv[:at] + argv[at + 2:]
+    if argv[at] == "--config":
+        if at + 1 >= len(argv):
+            raise SystemExit2("--config needs a file path")
+        path, rest = argv[at + 1], argv[:at] + argv[at + 2:]
+    else:
+        path, rest = argv[at][len("--config="):], argv[:at] + argv[at + 1:]
     if not os.path.exists(path):
         raise SystemExit2(f"config file not found: {path}")
     injected: list[str] = []
@@ -515,6 +521,9 @@ def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         args = _build_parser().parse_args(_expand_config(argv))
+        if args.config is not None:  # an abbreviation _expand_config left
+            raise SystemExit2("name the config file as --config FILE "
+                              "or --config=FILE")
         outdir = args.out or os.environ.get("ORBITPLANE_OUT") or "."
         os.makedirs(outdir, exist_ok=True)
         code, report, fname = _COMMANDS[args.command](args, outdir)

@@ -8,7 +8,8 @@ modulus is bounded-suspect or undecided depending on how much headroom
 was left.  Cycle detection confirms every near-return by replaying one
 full period before locking, which avoids false positives from slow
 spirals.  One batched orbit kernel applies these rules: a single orbit
-is a batch of one, and ``raster.classify_grid`` runs it on every pixel.
+is a batch of one, and ``raster.classify_grid`` runs it on every pixel,
+one chunk of starts at a time.
 
 A grid may also stop a start early in a certified trap: a closed disc
 D = D(c, rho) that f provably maps into itself (see ``traps``), so an
@@ -89,9 +90,14 @@ _SHRINK = 1.0 - 2.0 ** -40
 # the starts in its working prefix are still active.
 _COMPACT_FRACTION = 0.9
 
-# The kernel refuses more history entries (rows times starts) than this,
-# 1 GB of real and imaginary parts; the default policy on the largest
-# grid needs 40.96M.
+# The kernel runs over contiguous chunks of at most this many starts,
+# so its history holds rows times at most this many entries at a time.
+_CHUNK = 2 ** 15
+
+# The kernel refuses more history entries than this, counted as rows
+# times all the starts of a batch (1 GB of real and imaginary parts if
+# it were allocated at once); the default policy on the largest grid
+# needs 40.96M.
 MAX_HISTORY = 2 ** 26
 
 
@@ -208,9 +214,6 @@ _Stops = namedtuple("_Stops", "kind step escape_modulus period representative "
                     "max_modulus")
 
 
-# The scan's ``h -= re_cols`` overflows where real parts lie near the
-# largest float; an infinite difference is rightly no near-return.
-@np.errstate(over="ignore")
 def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
              traps=()) -> _Stops:
     """The orbit kernel: iterate each start of the 1-D array ``z`` in place.
@@ -223,30 +226,48 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
     rounding of the float test, so an accepted z lies in the closed disc.
     With no traps the kernel does no trap work at all.
 
-    Per-start state lives in the prefix ``[:nc]`` of its arrays and is
-    compacted in place once few enough of those starts are still active.
-    Every alive start with no pending return is scanned for near-returns
-    against its history window.  The scan gathers the history of those
-    starts in blocks of rows and compares real parts first
-    (|Re d| <= |d|, so no return is missed), then the complex modulus of
-    the hits; the smallest confirmed lag wins.  More history entries
-    (rows times starts) than ``MAX_HISTORY`` raise ValueError before
-    anything is allocated.
+    Each start's orbit is independent of the others, so the starts run
+    in contiguous chunks of at most ``_CHUNK`` (see ``_iterate_chunk``),
+    each writing its slice of the stops; the cycle history is allocated
+    per chunk.  More history entries, rows times all the starts, than
+    ``MAX_HISTORY`` raise ValueError before anything is allocated.
     """
-    n, w, tol = z.size, policy.cycle_window, policy.cycle_tol
-    rows = min(w, policy.budget + 1)
+    n = z.size
+    rows = min(policy.cycle_window, policy.budget + 1)
     if rows * n > MAX_HISTORY:
         raise ValueError(f"history of {rows} rows by {n} starts is above "
                          f"the cap of {MAX_HISTORY} entries")
-    inner = policy.escape_radius / _BOUNDED_HEADROOM
     traps = [(t.center.real, t.center.imag, t.radius * t.radius * _SHRINK)
              for t in traps if _trap_fits(t.center, t.radius, policy.escape_radius)]
-    kind = np.zeros(n, dtype=np.uint8)
-    stop_step = np.zeros(n, dtype=np.int32)
-    escape_modulus = np.zeros(n)
-    period = np.zeros(n, dtype=np.int32)
-    representative = np.zeros(n, dtype=np.complex128)
-    max_out = np.zeros(n)
+    stops = _Stops(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.int32),
+                   np.zeros(n), np.zeros(n, dtype=np.int32),
+                   np.zeros(n, dtype=np.complex128), np.zeros(n))
+    for lo in range(0, n, _CHUNK):
+        _iterate_chunk(f, z[lo:lo + _CHUNK], policy, traps,
+                       _Stops(*(a[lo:lo + _CHUNK] for a in stops)))
+    return stops
+
+
+# The scan's ``h -= re_cols`` overflows where real parts lie near the
+# largest float; an infinite difference is rightly no near-return.
+@np.errstate(over="ignore")
+def _iterate_chunk(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
+                   traps: list, out: _Stops) -> None:
+    """Iterate the starts ``z`` in place and write their stops into ``out``.
+
+    ``traps`` holds (center real, center imag, shrunk squared radius) of
+    the traps in use.  Per-start state lives in the prefix ``[:nc]`` of
+    its arrays and is compacted in place once few enough of those starts
+    are still active.  Every alive start with no pending return is
+    scanned for near-returns against its history window.  The scan
+    gathers the history of those starts in blocks of rows and compares
+    real parts first (|Re d| <= |d|, so no return is missed), then the
+    complex modulus of the hits; the smallest confirmed lag wins.
+    """
+    n, w, tol = z.size, policy.cycle_window, policy.cycle_tol
+    rows = min(w, policy.budget + 1)
+    inner = policy.escape_radius / _BOUNDED_HEADROOM
+    kind, stop_step, escape_modulus, period, representative, max_out = out
 
     orig = np.arange(n)  # position -> start index
     alive = np.ones(n, dtype=bool)
@@ -350,8 +371,6 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
 
     # The starts still alive exhausted their budget.
     stop(alive[:nc].nonzero()[0], _BUDGET, policy.budget)
-    return _Stops(kind, stop_step, escape_modulus, period, representative,
-                  max_out)
 
 
 def _ldexp(w: np.ndarray, e: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Pixel-grid classification, component census, and boundary extraction.
 
 ``classify_grid`` runs the orbit kernel of ``orbits`` on every pixel
-center at once, so a pixel gets exactly its center's single-point class.
+center, so a pixel gets exactly its center's single-point class; the
+kernel takes the pixels in chunks, which bounds its cycle history.
 It first certifies trap discs about the fixed points in the window and
 stops the starts that enter one; that saves the steps of orbits that
 would creep towards a parabolic point for the rest of the budget and
@@ -44,7 +45,8 @@ __all__ = [
 
 
 # Most pixels a grid may have: 4x the 800x400 benchmark render.  The
-# orbit kernel holds about 100 bytes a pixel besides its history.
+# orbit kernel holds 57 bytes a pixel (the start and its stops); the
+# rest of its state, history included, is per chunk of starts.
 MAX_PIXELS = 1_280_000
 
 
@@ -127,6 +129,8 @@ def classify_grid(f: FunctionExpression, grid: GridSpec,
                   policy: OrbitPolicy) -> PixelClassification:
     """Classify every pixel center with the orbit kernel of ``orbits``.
 
+    The kernel gets all the centers in one call and runs them in chunks
+    of ``orbits._CHUNK`` starts, so its history is bounded per chunk.
     The kernel gets the trap discs certified about the fixed points in
     the window (see ``orbits``) and stops a start that enters one while
     it and the disc lie below escape_radius / 100.  The orbit of such a

@@ -499,6 +499,18 @@ def test_config_flags_follow_the_subcommand_when_out_names_one(tmp_path,
         assert (rep["r0"], rep["n_max"]) == (2 + n, 3)
 
 
+def test_config_equals_form_is_read(tmp_path, monkeypatch):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n-max=3\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["--out", "o", f"--config={cfg}", "minmod-iterate", "--f",
+                 "z^2", "--r", "2"]) == 0
+    assert load_and_validate(tmp_path / "o", "minmod_iterate.json")["n_max"] == 3
+    # an abbreviated --config would be parsed but never read
+    assert main(["--out", "o", f"--conf={cfg}", "minmod-iterate", "--f",
+                 "z^2", "--r", "2"]) == 2
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("ORBITPLANE_OUT", str(target))

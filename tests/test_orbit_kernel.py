@@ -7,20 +7,24 @@ that lock long after the first window, so a history row that is lost
 or follows another start makes some start lock late, at another lag,
 or never; coincidental near-returns that fail to confirm, at every lag;
 a monotone approach to a fixed point at window 1; and real parts near
-the largest float, whose differences overflow.
+the largest float, whose differences overflow.  The kernel runs over
+chunks of starts, and no chunk size may move a stop.
 """
 
+import functools
 import hashlib
 import warnings
 
 import numpy as np
 import pytest
 
+from orbitplane import orbits
 from orbitplane.domains import Rect
 from orbitplane.expressions import parse
 from orbitplane.orbits import (_KINDS, CYCLE_LOCKED, MAX_HISTORY, OrbitPolicy,
                                _iterate)
 from orbitplane.raster import MAX_PIXELS, GridSpec
+from orbitplane.traps import certified_traps
 from reference_orbit import assert_kernel_matches
 
 RABBIT = "z^2 + (-0.1226 + 0.7449i)"
@@ -71,6 +75,52 @@ def test_late_locking_grid_stops_pinned():
     digest = hashlib.sha256(stops.kind.tobytes() + stops.step.tobytes()
                             + stops.period.tobytes()).hexdigest()
     assert digest == PERIOD_4_STOPS_SHA256
+
+
+# Grids whose sizes leave a partial last chunk for chunks of 7 and 4096
+# starts: the period-4 grid above (8,000 starts) and the trapped sin z
+# grid at 400x200 (80,000 starts, more than one default chunk).
+CHUNK_GRIDS = {
+    "period-4": ("z^2 - 1.3107", Rect(-1.5, 1.5, -0.3, 0.3), 200, 40,
+                 OrbitPolicy(budget=64, cycle_window=8)),
+    "sin-400": ("sin(z)", Rect(-10.0, 10.0, -5.0, 5.0), 400, 200,
+                OrbitPolicy()),
+}
+
+
+@functools.cache
+def default_chunk_run(name):
+    """The grid's function, traps, starts and default-chunk stops."""
+    source, window, nx, ny, policy = CHUNK_GRIDS[name]
+    f = parse(source)
+    traps = certified_traps(f, window, policy.escape_radius)
+    starts = GridSpec(window, nx, ny).pixel_centers().ravel()
+    return f, traps, starts, _iterate(f, starts.copy(), policy, traps)
+
+
+# Small chunks run one kernel loop per chunk, so they take a contiguous
+# run of starts about the middle row instead of the whole grid.
+@pytest.mark.parametrize("chunk, span", [(1, 300), (7, 2001), (4096, None)])
+@pytest.mark.parametrize("name", CHUNK_GRIDS)
+def test_stops_do_not_depend_on_the_chunk_size(monkeypatch, name, chunk, span):
+    f, traps, starts, want = default_chunk_run(name)
+    policy = CHUNK_GRIDS[name][-1]
+    lo = 0 if span is None else starts.size // 2 - span // 2
+    hi = starts.size if span is None else lo + span
+    assert (hi - lo) % chunk or chunk == 1  # a partial last chunk
+    monkeypatch.setattr(orbits, "_CHUNK", chunk)
+    z = starts[lo:hi].copy()
+    got = _iterate(f, z, policy, traps)
+    for field, a, b in zip(got._fields, got, want):
+        assert np.array_equal(a, b[lo:hi]), field
+    # Each chunk's slice of the starts is iterated in place exactly as a
+    # batch of that chunk alone leaves it.
+    assert np.count_nonzero(z != starts[lo:hi])
+    monkeypatch.undo()
+    for c0 in sorted({0, (hi - lo - 1) // chunk * chunk}):
+        alone = starts[lo + c0:min(lo + c0 + chunk, hi)].copy()
+        _iterate(f, alone, policy, traps)
+        assert np.array_equal(z[c0:c0 + chunk], alone)
 
 
 def test_real_parts_near_the_largest_float_raise_no_warning():

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 from collections import deque
 
 import numpy as np
@@ -165,6 +166,21 @@ def test_classify_grid_matches_classify_point_grids(source, window, policy,
 def test_classify_grid_sin_400_classes_pinned(sin_400):
     digest = hashlib.sha256(sin_400.classes.tobytes()).hexdigest()
     assert digest == SIN_400_CLASSES_SHA256
+
+
+def test_classify_grid_allocation_peak_is_bounded():
+    # The orbit kernel's cycle history is allocated per chunk of starts,
+    # so the 800x400 render stays well below the 164 MB one history over
+    # every pixel would take.  tracemalloc counts the bytes numpy
+    # allocates, which unlike RSS does not depend on the host.
+    grid = GridSpec(Rect(-10, 10, -5, 5), 800, 400)
+    tracemalloc.start()
+    try:
+        classify_grid(parse("sin(z)"), grid, OrbitPolicy())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2 ** 20
 
 
 def test_classify_grid_serial_rerun_identical():
