@@ -310,16 +310,20 @@ def _expand_config(argv: list[str]) -> list[str]:
         path, rest = argv[at][len("--config="):], argv[:at] + argv[at + 1:]
     if not os.path.exists(path):
         raise SystemExit2(f"config file not found: {path}")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            lines = handle.readlines()
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, not UTF-8
+        raise SystemExit2(f"cannot read config file {path}: {exc}") from exc
     injected: list[str] = []
-    with open(path, "r", encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise SystemExit2(f"config line is not key=value: {line!r}")
-            key, value = line.split("=", 1)
-            injected += [f"--{key.strip()}", value.strip()]
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise SystemExit2(f"config line is not key=value: {line!r}")
+        key, value = line.split("=", 1)
+        injected += [f"--{key.strip()}", value.strip()]
     # Config defaults go right after the subcommand (and its positional,
     # for scenario) so explicit flags, parsed later, win.  The value of a
     # root --out may name a subcommand too; it is not the subcommand.

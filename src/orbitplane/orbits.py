@@ -9,7 +9,8 @@ was left.  Cycle detection confirms every near-return by replaying one
 full period before locking, which avoids false positives from slow
 spirals.  One batched orbit kernel applies these rules: a single orbit
 is a batch of one, and ``raster.classify_grid`` runs it on every pixel,
-one chunk of starts at a time.
+one chunk of starts at a time.  A chunk keeps the whole cycle window of
+history only for the starts still alive after its first few steps.
 
 A grid may also stop a start early in a certified trap: a closed disc
 D = D(c, rho) that f provably maps into itself (see ``traps``), so an
@@ -94,10 +95,16 @@ _COMPACT_FRACTION = 0.9
 # so its history holds rows times at most this many entries at a time.
 _CHUNK = 2 ** 15
 
+# For its first this many steps a chunk keeps only the history rows they
+# write; most starts of a grid stop by then, and the chunk's survivors
+# then get the whole window, sized to them.
+_HEAD = 8
+
 # The kernel refuses more history entries than this, counted as rows
 # times all the starts of a batch (1 GB of real and imaginary parts if
-# it were allocated at once); the default policy on the largest grid
-# needs 40.96M.
+# it were allocated at once), although it allocates the whole window
+# only per chunk and for the starts alive after the head; the default
+# policy on the largest grid needs 40.96M.
 MAX_HISTORY = 2 ** 26
 
 
@@ -228,9 +235,12 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
 
     Each start's orbit is independent of the others, so the starts run
     in contiguous chunks of at most ``_CHUNK`` (see ``_iterate_chunk``),
-    each writing its slice of the stops; the cycle history is allocated
-    per chunk.  More history entries, rows times all the starts, than
-    ``MAX_HISTORY`` raise ValueError before anything is allocated.
+    each writing its slice of the stops.  The cycle history is per
+    chunk: ``_HEAD`` + 1 rows for its first ``_HEAD`` steps, in one
+    buffer that every chunk reuses, then the whole window for the
+    starts still alive.  More history entries, rows times all the
+    starts, than ``MAX_HISTORY`` raise ValueError before anything is
+    allocated.
     """
     n = z.size
     rows = min(policy.cycle_window, policy.budget + 1)
@@ -242,8 +252,10 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
     stops = _Stops(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.int32),
                    np.zeros(n), np.zeros(n, dtype=np.int32),
                    np.zeros(n, dtype=np.complex128), np.zeros(n))
+    # allocated once, so chunks after the first find its pages mapped
+    head = np.empty((2, min(rows, _HEAD + 1), min(n, _CHUNK)))
     for lo in range(0, n, _CHUNK):
-        _iterate_chunk(f, z[lo:lo + _CHUNK], policy, traps,
+        _iterate_chunk(f, z[lo:lo + _CHUNK], policy, traps, head,
                        _Stops(*(a[lo:lo + _CHUNK] for a in stops)))
     return stops
 
@@ -252,17 +264,21 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
 # largest float; an infinite difference is rightly no near-return.
 @np.errstate(over="ignore")
 def _iterate_chunk(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
-                   traps: list, out: _Stops) -> None:
+                   traps: list, head: np.ndarray, out: _Stops) -> None:
     """Iterate the starts ``z`` in place and write their stops into ``out``.
 
     ``traps`` holds (center real, center imag, shrunk squared radius) of
-    the traps in use.  Per-start state lives in the prefix ``[:nc]`` of
-    its arrays and is compacted in place once few enough of those starts
-    are still active.  Every alive start with no pending return is
-    scanned for near-returns against its history window.  The scan
-    gathers the history of those starts in blocks of rows and compares
-    real parts first (|Re d| <= |d|, so no return is missed), then the
-    complex modulus of the hits; the smallest confirmed lag wins.
+    the traps in use; ``head`` is working space, at least ``z.size``
+    wide, for the history rows of the first ``_HEAD`` steps.  Per-start
+    state lives in the prefix ``[:nc]`` of its arrays and is compacted
+    in place once few enough of those starts are still active, and at
+    step ``_HEAD``, when the history moves from the head's rows to the
+    whole window of the starts still alive.  Every alive start with no
+    pending return is scanned for near-returns against its history
+    window.  The scan gathers the history of those starts in blocks of
+    rows and compares real parts first (|Re d| <= |d|, so no return is
+    missed), then the complex modulus of the hits; the smallest
+    confirmed lag wins.
     """
     n, w, tol = z.size, policy.cycle_window, policy.cycle_tol
     rows = min(w, policy.budget + 1)
@@ -274,7 +290,8 @@ def _iterate_chunk(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
     max_mod = np.abs(z)
     # Row s % w holds the orbit point at step s.  A window longer than
     # the budget never wraps, so rows past the budget are never written.
-    hist_re, hist_im = np.empty((2, rows, n))
+    # Up to step _HEAD the rows written are 0 to step, all in the head.
+    hist_re, hist_im = head[:, :, :n]
     hist_re[0], hist_im[0] = z.real, z.imag
     # A pending near-return is due at this step, against the target and
     # lag already stored in representative and period; -1 when none, and
@@ -325,11 +342,11 @@ def _iterate_chunk(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
         cols = (pending_due[:nc] < 0).nonzero()[0]  # alive, no return pending
         if cols.size:
             re_cols = re[cols]
-            rows = min(step, w)  # history rows written so far
+            written = min(step, w)  # history rows written so far
             block = min(w, max(1, _SCAN_BLOCK // cols.size))
             keys = []
-            for r0 in range(0, rows, block):
-                r1 = min(r0 + block, rows)
+            for r0 in range(0, written, block):
+                r1 = min(r0 + block, written)
                 # take on whole rows, which are contiguous, gathers faster
                 # than indexing hist_re[r0:r1, cols]
                 h = hist_re[r0:r1].take(cols, axis=1)
@@ -359,13 +376,17 @@ def _iterate_chunk(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
         n_alive = int(np.count_nonzero(alive[:nc]))
         if n_alive == 0:
             break
-        if n_alive < _COMPACT_FRACTION * nc:
+        grow = step == _HEAD and len(hist_re) < rows
+        if grow or n_alive < _COMPACT_FRACTION * nc:
             keep = alive[:nc].nonzero()[0]
             for arr in (z, orig, max_mod, pending_due):
                 arr[:n_alive] = arr[keep]
-            for plane in (hist_re, hist_im):
-                for row in plane[:min(step + 1, w)]:  # rows written so far
-                    row[:n_alive] = row[keep]
+            # past the head, the whole window for the live starts only
+            new = np.empty((2, rows, n_alive)) if grow else (hist_re, hist_im)
+            for dst, src in zip(new, (hist_re, hist_im)):
+                for r in range(min(step + 1, w)):  # rows written so far
+                    dst[r, :n_alive] = src[r, keep]
+            hist_re, hist_im = new
             alive[:n_alive] = True
             nc = n_alive
 

@@ -2,7 +2,8 @@
 
 ``classify_grid`` runs the orbit kernel of ``orbits`` on every pixel
 center, so a pixel gets exactly its center's single-point class; the
-kernel takes the pixels in chunks, which bounds its cycle history.
+kernel takes the pixels in chunks, which bounds its cycle history, and
+keeps the whole window only for the pixels still alive after a few steps.
 It first certifies trap discs about the fixed points in the window and
 stops the starts that enter one; that saves the steps of orbits that
 would creep towards a parabolic point for the rest of the budget and
@@ -130,7 +131,9 @@ def classify_grid(f: FunctionExpression, grid: GridSpec,
     """Classify every pixel center with the orbit kernel of ``orbits``.
 
     The kernel gets all the centers in one call and runs them in chunks
-    of ``orbits._CHUNK`` starts, so its history is bounded per chunk.
+    of ``orbits._CHUNK`` starts, so its history is bounded per chunk;
+    after ``orbits._HEAD`` steps it holds the whole window only for the
+    starts still alive.
     The kernel gets the trap discs certified about the fixed points in
     the window (see ``orbits``) and stops a start that enters one while
     it and the disc lie below escape_radius / 100.  The orbit of such a

@@ -511,6 +511,23 @@ def test_config_equals_form_is_read(tmp_path, monkeypatch):
                  "z^2", "--r", "2"]) == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf8"])
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys, kind):
+    cfg = tmp_path / "c.cfg"
+    if kind == "directory":
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(b"n-max=\xff\n")
+    out = tmp_path / "o"
+    for form in (["--config", str(cfg)], [f"--config={cfg}"]):
+        assert main(["--out", str(out), *form, "orbit", "--f", "z",
+                     "--z0", "1,0"]) == 2
+        error = json.loads(capsys.readouterr().err)
+        assert error["error_type"] == "usage"
+        assert error["message"].startswith(f"cannot read config file {cfg}")
+    assert not out.exists()
+
+
 def test_output_dir_env_override(tmp_path, monkeypatch):
     target = tmp_path / "envout"
     monkeypatch.setenv("ORBITPLANE_OUT", str(target))

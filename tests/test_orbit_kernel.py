@@ -8,9 +8,11 @@ or follows another start makes some start lock late, at another lag,
 or never; coincidental near-returns that fail to confirm, at every lag;
 a monotone approach to a fixed point at window 1; and real parts near
 the largest float, whose differences overflow.  The kernel runs over
-chunks of starts, and no chunk size may move a stop.
+chunks of starts and keeps a short history for each chunk's first steps;
+no chunk size and no head length may move a stop.
 """
 
+import dataclasses
 import functools
 import hashlib
 import warnings
@@ -22,7 +24,7 @@ from orbitplane import orbits
 from orbitplane.domains import Rect
 from orbitplane.expressions import parse
 from orbitplane.orbits import (_KINDS, CYCLE_LOCKED, MAX_HISTORY, OrbitPolicy,
-                               _iterate)
+                               _iterate, iterate_orbit)
 from orbitplane.raster import MAX_PIXELS, GridSpec
 from orbitplane.traps import certified_traps
 from reference_orbit import assert_kernel_matches
@@ -121,6 +123,59 @@ def test_stops_do_not_depend_on_the_chunk_size(monkeypatch, name, chunk, span):
         alone = starts[lo + c0:min(lo + c0 + chunk, hi)].copy()
         _iterate(f, alone, policy, traps)
         assert np.array_equal(z[c0:c0 + chunk], alone)
+
+
+# A chunk keeps a short history for its first _HEAD steps and only then
+# the whole window, for the starts still alive.  Heads 1 and 3 regrow on
+# both grids (windows 8 and 32); a head of 40 covers both windows, so
+# nothing regrows.  No head length may move a stop.
+@pytest.mark.parametrize("head", [1, 3, 40])
+@pytest.mark.parametrize("name", CHUNK_GRIDS)
+def test_stops_do_not_depend_on_the_head_length(monkeypatch, name, head):
+    f, traps, starts, want = default_chunk_run(name)
+    monkeypatch.setattr(orbits, "_HEAD", head)
+    got = _iterate(f, starts.copy(), CHUNK_GRIDS[name][-1], traps)
+    for field, a, b in zip(got._fields, got, want):
+        assert np.array_equal(a, b), field
+
+
+# Coincidental near-returns at every lag read every row of the history,
+# so a row that regrowing loses or moves makes a stop differ from the
+# reference loop's.
+@pytest.mark.parametrize("head", [1, 3, 5])
+def test_kernel_matches_reference_after_regrowing(monkeypatch, head):
+    monkeypatch.setattr(orbits, "_HEAD", head)
+    starts = GridSpec(Rect(0.0, 1.0, -1e-6, 1e-6), 200, 2).pixel_centers()
+    assert_kernel_matches(parse(LOGISTIC), starts.ravel(),
+                          OrbitPolicy(budget=40, escape_radius=4.0,
+                                      cycle_tol=0.1, cycle_window=8))
+
+
+@pytest.mark.parametrize("name", CHUNK_GRIDS)
+def test_budget_below_the_head_matches_a_regrown_history(monkeypatch, name):
+    # the default head never regrows a window that the budget cuts short
+    f, traps, starts, _ = default_chunk_run(name)
+    policy = dataclasses.replace(CHUNK_GRIDS[name][-1],
+                                 budget=orbits._HEAD - 2)
+    want = _iterate(f, starts.copy(), policy, traps)
+    monkeypatch.setattr(orbits, "_HEAD", 1)
+    got = _iterate(f, starts.copy(), policy, traps)
+    for field, a, b in zip(got._fields, got, want):
+        assert np.array_equal(a, b), field
+
+
+def test_single_orbit_locking_after_the_head_keeps_its_verdict(monkeypatch):
+    f, _, starts, stops = default_chunk_run("period-4")
+    policy = CHUNK_GRIDS["period-4"][-1]
+    late = stops.kind == _KINDS.index(CYCLE_LOCKED)
+    late &= stops.step > 2 * orbits._HEAD
+    k = int(np.flatnonzero(late)[0])
+    verdict = iterate_orbit(f, starts[k], policy)
+    assert (verdict.kind, verdict.period, verdict.representative) == \
+        (CYCLE_LOCKED, stops.period[k], stops.representative[k])
+    for head in (1, 40):
+        monkeypatch.setattr(orbits, "_HEAD", head)
+        assert iterate_orbit(f, starts[k], policy) == verdict
 
 
 def test_real_parts_near_the_largest_float_raise_no_warning():

@@ -168,19 +168,29 @@ def test_classify_grid_sin_400_classes_pinned(sin_400):
     assert digest == SIN_400_CLASSES_SHA256
 
 
-def test_classify_grid_allocation_peak_is_bounded():
-    # The orbit kernel's cycle history is allocated per chunk of starts,
-    # so the 800x400 render stays well below the 164 MB one history over
-    # every pixel would take.  tracemalloc counts the bytes numpy
-    # allocates, which unlike RSS does not depend on the host.
-    grid = GridSpec(Rect(-10, 10, -5, 5), 800, 400)
+def classify_grid_peak(nx, ny):
+    """tracemalloc's peak over classify_grid of sin z at nx x ny."""
+    grid = GridSpec(Rect(-10, 10, -5, 5), nx, ny)
     tracemalloc.start()
     try:
         classify_grid(parse("sin(z)"), grid, OrbitPolicy())
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 96 * 2 ** 20
+
+
+# The orbit kernel's cycle history is allocated per chunk of starts, and
+# a chunk keeps its whole window only for the starts alive after the
+# head, so these renders stay far below the 164 MB (800x400) and 41 MB
+# (400x200) one history over every pixel would take; a full window per
+# chunk read 37.8 and 24.5 MiB.  tracemalloc counts the bytes numpy
+# allocates, which unlike RSS does not depend on the host.
+def test_classify_grid_allocation_peak_is_bounded():
+    assert classify_grid_peak(800, 400) < 32 * 2 ** 20
+
+
+def test_classify_grid_allocation_peak_of_the_sinz_scenario_grid():
+    assert classify_grid_peak(400, 200) < 18 * 2 ** 20
 
 
 def test_classify_grid_serial_rerun_identical():
