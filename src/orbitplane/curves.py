@@ -45,6 +45,10 @@ __all__ = ["SampledCurve", "image_curve", "refine", "winding_number",
 # coordinates, that covers the rounding of the winding kernel's filter.
 _DISC_RTOL = 1e-12
 
+# Point budget: most samples a refined curve or a sampled boundary, and
+# most points a probe lattice, may have.
+_MAX_POINTS = 200_000
+
 # Most elements in one segment-by-probe block of the winding kernel.
 _BLOCK = 1 << 16
 
@@ -283,7 +287,7 @@ def _crossings(curve: SampledCurve, probes: np.ndarray) -> np.ndarray:
 
 def winding_numbers(curve: SampledCurve, probes,
                     min_clearance: float = 1e-9,
-                    max_points: int = 200_000) -> np.ndarray:
+                    max_points: int = _MAX_POINTS) -> np.ndarray:
     """Winding numbers of a closed curve about each of ``probes``.
 
     A probe is clean when no sample lies within ``min_clearance`` of it
@@ -324,7 +328,7 @@ def winding_numbers(curve: SampledCurve, probes,
 
 def winding_number(curve: SampledCurve, w: complex,
                    min_clearance: float = 1e-9,
-                   max_points: int = 200_000) -> int:
+                   max_points: int = _MAX_POINTS) -> int:
     """Winding number of a closed curve about ``w``: :func:`winding_numbers`
     on a batch of one probe."""
     return int(winding_numbers(curve, w, min_clearance, max_points)[0])

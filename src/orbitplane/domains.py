@@ -1,16 +1,17 @@
 """Bounded, simply connected plane regions built from discs and rectangles.
 
 A domain is one of :class:`Disc`, :class:`Rect` or :class:`RectUnion`.
-Rectangle unions are validated at construction: member rectangles must
-form a tree under the adjacency relation "closed overlap with positive
-length" (2-d overlap or a shared edge segment; corner touching does not
-count).  A tree of such adjacencies guarantees a connected interior and
-simple connectivity, which is what the surrounding checks rely on.
-
-The outer boundary of a rectangle union is traced on the irregular grid
-induced by the member coordinates, yielding an exact counterclockwise
-rectilinear polygon.  General rectilinear unions are traced by the same
-code; only tree-overlap unions are accepted by the constructor.
+A rectangle union is validated by tracing its outer boundary on the
+irregular grid induced by the member coordinates: every grid edge between
+a cell of the union and a cell outside it is directed with the union on
+its left.  The union is accepted exactly when these edges form a single
+closed loop that passes each vertex once.  That is enough: such a loop
+is a simple closed polygon, which by the Jordan curve theorem bounds one
+simply connected domain, the union's interior; it is the property the
+surrounding checks rely on.  Any other union fails the trace, since a
+vertex with two outgoing edges is a pinch point and a second loop bounds
+a second component or a hole.  The loop, with collinear runs merged, is
+the exact counterclockwise rectilinear boundary polygon.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import Union
 
 import numpy as np
 
-from .curves import SampledCurve, _pow2_scale
+from .curves import _MAX_POINTS, SampledCurve, _pow2_scale
 from .errors import DegenerateDomain
 
 __all__ = [
@@ -42,9 +43,6 @@ __all__ = [
 # Rounding allowance, relative to the coordinates' magnitude, by which
 # curve_distance lowers its per-segment distance bounds.
 _DISTANCE_RTOL = 1e-12
-
-# Most samples boundary takes: the surround checks' point budget.
-_MAX_SAMPLES = 200_000
 
 
 @dataclass(frozen=True)
@@ -96,6 +94,9 @@ class Disc:
 
 @dataclass(frozen=True)
 class RectUnion:
+    """Union of closed rectangles, overlapping in any pattern, whose outer
+    boundary is one simple loop; any other union is refused (see above)."""
+
     rects: tuple[Rect, ...]
     label: str = ""
     _polygon: tuple[complex, ...] = field(default=(), repr=False, compare=False)
@@ -105,7 +106,6 @@ class RectUnion:
         if not rects:
             raise DegenerateDomain("rectangle union needs at least one member")
         object.__setattr__(self, "rects", rects)
-        _validate_tree_overlap(rects)
         poly = _trace_outer_polygon(rects)
         object.__setattr__(self, "_polygon", tuple(poly))
 
@@ -128,51 +128,6 @@ DomainSpec = Union[Disc, Rect, RectUnion]
 # ---------------------------------------------------------------------------
 # Rectangle-union validation and outer boundary tracing
 # ---------------------------------------------------------------------------
-
-def _overlap_kind(a: Rect, b: Rect) -> str:
-    """'area' | 'edge' | 'corner' | 'none' for the closed intersection."""
-    ox = min(a.x_max, b.x_max) - max(a.x_min, b.x_min)
-    oy = min(a.y_max, b.y_max) - max(a.y_min, b.y_min)
-    if ox < 0 or oy < 0:
-        return "none"
-    if ox > 0 and oy > 0:
-        return "area"
-    if ox == 0 and oy == 0:
-        return "corner"
-    return "edge"
-
-
-def _validate_tree_overlap(rects: tuple[Rect, ...]) -> None:
-    n = len(rects)
-    edges = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            kind = _overlap_kind(rects[i], rects[j])
-            if kind == "corner":
-                raise DegenerateDomain(
-                    f"rectangles {i} and {j} touch only at a corner (pinch point)")
-            if kind != "none":
-                edges.append((i, j))
-    if len(edges) != n - 1:
-        raise DegenerateDomain(
-            f"rectangle adjacency graph must be a tree: {n} members, "
-            f"{len(edges)} adjacencies")
-    parent = list(range(n))
-
-    def find(k):
-        while parent[k] != k:
-            parent[k] = parent[parent[k]]
-            k = parent[k]
-        return k
-
-    for i, j in edges:
-        ri, rj = find(i), find(j)
-        if ri == rj:
-            raise DegenerateDomain("rectangle adjacency graph contains a cycle")
-        parent[ri] = rj
-    if len({find(k) for k in range(n)}) != 1:
-        raise DegenerateDomain("rectangle union is disconnected")
-
 
 def _trace_outer_polygon(rects: tuple[Rect, ...]) -> list[complex]:
     xs = sorted({v for r in rects for v in (r.x_min, r.x_max)})
@@ -225,7 +180,8 @@ def _trace_outer_polygon(rects: tuple[Rect, ...]) -> list[complex]:
         loop.append(cur)
         cur = out_edges[cur]
     if len(loop) != len(out_edges):
-        raise DegenerateDomain("union boundary is not a single closed loop")
+        raise DegenerateDomain(
+            "rectangle union is disconnected or encloses a hole")
 
     # Merge collinear runs into a minimal vertex list.
     verts: list[tuple[float, float]] = []
@@ -289,11 +245,15 @@ def contains(domain: DomainSpec, points, closed: bool = True) -> np.ndarray:
     for r in domain.rects:
         result |= contains(r, pts, closed=True)
     if not closed:
-        # Interior of the union: inside some closed member and strictly
-        # away from the outer boundary (the union has no holes).
+        # Interior of the union: inside some closed member and off the
+        # outer boundary (the union has no holes).  The edges are
+        # axis-parallel, so each is its own bounding box, tested exactly.
         verts = domain.vertices()
         a, b = verts, np.roll(verts, -1)
-        result &= _point_segment_distance(pts, a, b) > 0
+        x, y = pts.real[..., None], pts.imag[..., None]
+        on_edge = ((np.minimum(a.real, b.real) <= x) & (x <= np.maximum(a.real, b.real))
+                   & (np.minimum(a.imag, b.imag) <= y) & (y <= np.maximum(a.imag, b.imag)))
+        result &= ~np.any(on_edge, axis=-1)
     return result
 
 
@@ -474,7 +434,7 @@ def boundary(domain: DomainSpec, density: float = 10.0) -> SampledCurve:
 
 def _sample_count(exact: float) -> int:
     """``ceil(exact)``, refused above the sample cap before any allocation."""
-    if not exact <= _MAX_SAMPLES:
+    if not exact <= _MAX_POINTS:
         raise ValueError(f"boundary sampling needs {exact:.6g} points, "
-                         f"more than the cap of {_MAX_SAMPLES}")
+                         f"more than the cap of {_MAX_POINTS}")
     return math.ceil(exact)

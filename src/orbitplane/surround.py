@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import SampledCurve, image_curve, refine, winding_numbers
+from .curves import (_MAX_POINTS, SampledCurve, image_curve, refine,
+                     winding_numbers)
 from .domains import (DomainSpec, _cell_centers, _curve_distance, boundary,
                       clearance, contains, contains_closure, diameter,
                       inradius_about, interior_point)
@@ -54,9 +55,6 @@ FINITE_HORIZON_NOTE = (
 
 # Rounds of clearance-driven bisection before segment distances are trusted.
 _REFINE_ROUNDS = 48
-
-# Most samples a curve, and most points a probe lattice, may have.
-_MAX_POINTS = 200_000
 
 # Touch tolerance of the nested-domain check and closure margin of the
 # strongly-polynomial-like check, relative to the target's diameter.

@@ -93,27 +93,27 @@ def certified_traps(f: FunctionExpression, window: Rect,
     directions v gets a petal disc D(p + rho v, rho) per direction.
     """
     start = min(window.x_max - window.x_min, window.y_max - window.y_min) / 2
-    candidates = []  # (kind, fixed point, direction of the center)
+    candidates = []  # (fixed point, direction of the center, _Tangency or None)
     with np.errstate(all="ignore"):
         for record in find_fixed_points(f, window):
             if abs(record.multiplier - 1) <= _PARABOLIC_TOL:
                 tangency = _parabolic(f, record.location)
                 for v in (() if tangency is None else tangency.directions):
-                    candidates.append((PETAL, tangency.point, v))
+                    candidates.append((tangency.point, v, tangency))
             elif abs(record.multiplier) < 1:
-                candidates.append((ATTRACTING, record.location, 0))
+                candidates.append((record.location, 0, None))
         traps = []
-        for kind, p, v in candidates:
+        for p, v, tangency in candidates:
+            kind = ATTRACTING if tangency is None else PETAL
             for j in range(_TRAP_HALVINGS + 1):
                 rho = start / 2 ** j
                 c = p + rho * v
                 # a petal passes through p exactly, whatever c rounded to
-                tangent_at = p if kind == PETAL else None
-                rho2 = Fraction(rho) ** 2 if tangent_at is None else _dist2(c, p)
+                rho2 = Fraction(rho) ** 2 if tangency is None else _dist2(c, p)
                 try:
                     radius = _sqrt_below(rho2)
                     proved = (_trap_fits(c, radius, escape_radius)
-                              and _maps_into_itself(f, c, rho2, tangent_at))
+                              and _maps_into_itself(f, c, rho2, tangency))
                 except OverflowError:  # a rational too large for a float
                     proved = False
                 if proved:
@@ -170,7 +170,7 @@ def _tangency(f: FunctionExpression, q: complex) -> Optional[_Tangency]:
 
 
 def _maps_into_itself(f: FunctionExpression, c: complex, rho2: Fraction,
-                      tangent_at: Optional[complex] = None) -> bool:
+                      tangency: Optional[_Tangency] = None) -> bool:
     """Whether |f(z) - c| <= rho on the whole circle |z - c| = rho, proved,
     where rho^2 is the rational ``rho2``.
 
@@ -178,9 +178,9 @@ def _maps_into_itself(f: FunctionExpression, c: complex, rho2: Fraction,
     cut into arcs, each arc is enclosed in a rectangle and its image in
     another (``_enclose``), and every arc whose image may leave the disc
     is bisected, until none is left or ``_TRAP_BUDGET`` arcs were spent.
-    With ``tangent_at`` the circle must pass exactly through that point,
-    which ``_tangency`` must prove parabolic: there |f(z) - c| = rho and
-    no enclosure can decide, so ``_tangent_arc`` proves the arc about it.
+    With ``tangency``, a parabolic fixed point that ``_tangency`` proved,
+    the circle must pass exactly through that point: there |f(z) - c| = rho
+    and no enclosure can decide, so ``_tangent_arc`` proves the arc about it.
     """
     rho = math.sqrt(rho2)
     theta = np.arange(_TRAP_SAMPLES) * (2 * np.pi / _TRAP_SAMPLES)
@@ -188,14 +188,13 @@ def _maps_into_itself(f: FunctionExpression, c: complex, rho2: Fraction,
     if overflow.any() or np.any(np.abs(w - c) > rho * (1 + 1e-9)):
         return False
     first, span = 0.0, 2 * np.pi
-    if tangent_at is not None:
-        tangency = _tangency(f, tangent_at)
-        half = None if tangency is None else _tangent_arc(f, c, rho2, tangency)
+    if tangency is not None:
+        half = _tangent_arc(f, c, rho2, tangency)
         if half is None:
             return False
         # overlap the proved arc by far more than the error of its angle
         half *= 1 - 2.0 ** -10
-        p = tangent_at
+        p = tangency.point
         first = math.atan2(p.imag - c.imag, p.real - c.real) + half
         span -= 2 * half
     edges = first + span * np.arange(_TRAP_ARCS + 1) / _TRAP_ARCS

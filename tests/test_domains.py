@@ -7,6 +7,7 @@ from orbitplane.domains import (Disc, Rect, RectUnion, boundary, clearance,
                                 contains, contains_closure, diameter,
                                 inradius_about, interior_point)
 from orbitplane.errors import DegenerateDomain
+from orbitplane.scenarios import ex51_domain
 
 PI = math.pi
 
@@ -44,6 +45,24 @@ def test_union_must_be_tree():
     # overlapping-in-area and edge-glued pairs are both fine
     RectUnion((Rect(0, 2, 0, 2), Rect(1, 3, 1, 3)))
     RectUnion((Rect(0, 1, 0, 1), Rect(1, 2, 0, 1)))
+
+
+def test_members_overlapping_in_a_cycle_form_a_jordan_union():
+    # each pair of the three overlaps, yet the union is one simple loop
+    union = RectUnion((Rect(0, 2, 0, 2), Rect(1, 3, 1, 3), Rect(0, 3, 1, 2)))
+    verts = union.vertices()
+    assert len(verts) == 8
+    assert shoelace(verts) == 7.0
+
+
+def test_union_refusals_name_the_failure():
+    with pytest.raises(DegenerateDomain, match="pinch point"):
+        RectUnion((Rect(0, 1, 0, 1), Rect(1, 2, 1, 2)))
+    with pytest.raises(DegenerateDomain, match="disconnected or encloses a hole"):
+        RectUnion((Rect(0, 1, 0, 1), Rect(2, 3, 2, 3)))
+    with pytest.raises(DegenerateDomain, match="disconnected or encloses a hole"):
+        RectUnion((Rect(0, 3, 0, 1), Rect(0, 1, 0, 3),
+                   Rect(0, 3, 2, 3), Rect(2, 3, 0, 3)))
 
 
 def test_two_rect_union_outer_polygon():
@@ -113,6 +132,21 @@ def test_contains_open_vs_closed():
     corner = complex(-PI, -PI)
     assert contains(dom, corner, closed=True)[0]
     assert not contains(dom, corner, closed=False)[0]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_union_boundary_points_are_not_interior(n):
+    dom = ex51_domain(n)
+    verts = dom.vertices()
+    t = np.linspace(0.0, 1.0, 500)
+    for a, b in zip(verts, np.roll(verts, -1)):
+        # exactly on the edge: one coordinate is the edge's own
+        if a.real == b.real:
+            pts = a.real + 1j * (a.imag + t * (b.imag - a.imag))
+        else:
+            pts = (a.real + t * (b.real - a.real)) + 1j * a.imag
+        assert not np.any(contains(dom, pts, closed=False))
+        assert np.all(contains(dom, pts, closed=True))
 
 
 def test_clearance_signs_and_values():

@@ -18,13 +18,15 @@ from orbitplane.domains import Rect
 from orbitplane.expressions import parse
 from orbitplane.orbits import (_KINDS, _TRAPPED, ATTRACTING, OrbitPolicy,
                                _classes, _iterate, classify_point)
+from orbitplane import traps as traps_module
 from orbitplane.traps import (PETAL, TrapDisc, _maps_into_itself, _parabolic,
-                              certified_traps)
+                              _tangency, certified_traps)
 from orbitplane.raster import GridSpec, classify_grid
 
 SIN = parse("sin(z)")
 SIN_WINDOW = Rect(-10.0, 10.0, -5.0, 5.0)
 ESCAPE = 1e6  # the default escape radius
+SIN_TANGENCY = _tangency(SIN, 0j)
 
 
 def _petal(rho):
@@ -46,18 +48,18 @@ def test_newton_root_snaps_to_the_exact_parabolic_point():
 
 @pytest.mark.parametrize("rho", [0.5, 1.0, 1.5])
 def test_sin_petals_certify_up_to_one_and_a_half(rho):
-    assert _maps_into_itself(SIN, *_petal(rho), 0j)
+    assert _maps_into_itself(SIN, *_petal(rho), SIN_TANGENCY)
 
 
 def test_too_wide_a_petal_fails():
     # sampled excess 0.29 near theta = 0.52 at rho = 1.7
-    assert not _maps_into_itself(SIN, *_petal(1.7), 0j)
+    assert not _maps_into_itself(SIN, *_petal(1.7), SIN_TANGENCY)
 
 
 @pytest.mark.parametrize("shift", [1e-6, -1e-6])
 def test_petal_moved_off_its_tangency_fails(shift):
     c, rho2 = complex(1.0 + shift), Fraction(1) ** 2
-    assert not _maps_into_itself(SIN, c, rho2, 0j)
+    assert not _maps_into_itself(SIN, c, rho2, SIN_TANGENCY)
     assert not _maps_into_itself(SIN, c, rho2)
 
 
@@ -65,7 +67,7 @@ def test_unsnapped_newton_root_fails():
     p = -1.3813974877904275e-07
     c = complex(p + 1.0)
     rho2 = (Fraction(c.real) - Fraction(p)) ** 2
-    assert not _maps_into_itself(SIN, c, rho2, complex(p))
+    assert _tangency(SIN, complex(p)) is None
     assert not _maps_into_itself(SIN, c, rho2)
 
 
@@ -80,6 +82,29 @@ def test_fourth_order_term_is_part_of_the_tangency_bound(b):
     f = parse(f"z - z^3/6 + {b}*z^4")
     traps = certified_traps(f, Rect(-2.0, 2.0, -1.0, 1.0), ESCAPE)
     assert len(traps) == 2 and all(t.kind == PETAL for t in traps)
+
+
+def test_each_parabolic_point_is_proved_once(monkeypatch):
+    """The disc proofs reuse the tangency that _parabolic proved."""
+    cases = [(SIN, SIN_WINDOW),
+             (parse("z - z^3/6 + 0.03i*z^4"), Rect(-2.0, 2.0, -1.0, 1.0)),
+             (parse("z + z^2"), Rect(-2.0, 1.0, -1.5, 1.5))]
+    want = [certified_traps.__wrapped__(f, window, ESCAPE) for f, window in cases]
+    prove, maps_into_itself = _tangency, _maps_into_itself
+
+    def proved_again(f, q):
+        raise AssertionError(f"tangency at {q} proved again")
+
+    def guarded(*args):
+        monkeypatch.setattr(traps_module, "_tangency", proved_again)
+        try:
+            return maps_into_itself(*args)
+        finally:
+            monkeypatch.setattr(traps_module, "_tangency", prove)
+
+    monkeypatch.setattr(traps_module, "_maps_into_itself", guarded)
+    got = [certified_traps.__wrapped__(f, window, ESCAPE) for f, window in cases]
+    assert got == want and all(want)
 
 
 def test_one_attracting_direction_gets_one_petal():
