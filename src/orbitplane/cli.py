@@ -171,7 +171,8 @@ def _refusable(what: str, call, *call_args):
     library refuses what only several flags together make wrong, such as
     a --blow-up not above --r, fewer than two domains, a boundary or probe
     lattice above the sample cap, an orbit history above its cap, or a
-    boundary mapped to a single point or beyond the double range.
+    boundary mapped to a single point or beyond the double range, and a
+    --seeds lattice above the sample cap.
     """
     try:
         return call(*call_args)
@@ -427,8 +428,9 @@ def _cmd_orbit(args, outdir):
 
 def _cmd_fixed_points(args, outdir):
     f = parse_expr(args.f)
-    records = find_fixed_points(f, args.rect, args.seeds, args.newton_tol,
-                                args.max_newton)
+    records = _refusable("cannot search for fixed points", find_fixed_points,
+                         f, args.rect, args.seeds, args.newton_tol,
+                         args.max_newton)
     report = {"kind": "fixed_points", "function": args.f,
               "region": fileio.encode_domain(args.rect),
               "seeds_per_axis": args.seeds, "newton_tol": args.newton_tol,

@@ -12,6 +12,11 @@ surrounding checks rely on.  Any other union fails the trace, since a
 vertex with two outgoing edges is a pinch point and a second loop bounds
 a second component or a hole.  The loop, with collinear runs merged, is
 the exact counterclockwise rectilinear boundary polygon.
+
+A rectangle is a union of one member, and one rule measures both: every
+edge is axis-parallel, so its nearest point is the query point clipped
+into the edge's box (:func:`_edge_distance`), at distance exactly 0 on
+the boundary.  The open domain is the closure minus those points.
 """
 
 from __future__ import annotations
@@ -59,6 +64,10 @@ class Rect:
             raise DegenerateDomain("rectangle bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise DegenerateDomain("rectangle bounds must satisfy min < max")
+
+    @property
+    def rects(self) -> tuple[Rect, ...]:
+        return (self,)
 
     def bounding_box(self) -> tuple[float, float, float, float]:
         return (self.x_min, self.x_max, self.y_min, self.y_max)
@@ -208,13 +217,15 @@ def _seg_point(p, q, r):
     return np.abs(r - (p + t * pq))
 
 
-def _point_segment_distance(points: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distances from each point to the nearest of the segments (a[k], b[k]),
-    taken on huge inputs after scaling by a power of two (Blue, 1978)."""
-    s = _pow2_scale(points, a, b)
-    if s != 1.0:
-        return _point_segment_distance(points * s, a * s, b * s) / s
-    return np.min(_seg_point(a[None, :], b[None, :], points[:, None]), axis=1)
+def _edge_distance(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
+    """Distance from each point to the nearest edge of the axis-parallel
+    polygon ``verts``: from the point to its clip into each edge's box,
+    exactly 0 on an edge and with no product that could overflow."""
+    a, b = verts[:, None], np.roll(verts, -1)[:, None]
+    x, y = points.real.ravel(), points.imag.ravel()
+    dx = x - np.clip(x, np.minimum(a.real, b.real), np.maximum(a.real, b.real))
+    dy = y - np.clip(y, np.minimum(a.imag, b.imag), np.maximum(a.imag, b.imag))
+    return np.min(np.hypot(dx, dy), axis=0).reshape(points.shape)
 
 
 def _cell_centers(domain: DomainSpec, k: int) -> np.ndarray:
@@ -228,50 +239,35 @@ def _cell_centers(domain: DomainSpec, k: int) -> np.ndarray:
 def contains(domain: DomainSpec, points, closed: bool = True) -> np.ndarray:
     """Membership test, vectorized over complex ``points``.
 
-    ``closed=True`` tests the closure, ``closed=False`` the open domain.
+    ``closed=True`` tests the closure, ``closed=False`` the open domain:
+    for rectangles and unions, the closure off the boundary polygon.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
     if isinstance(domain, Disc):
         d = np.abs(pts - domain.center)
         return d <= domain.radius if closed else d < domain.radius
-    if isinstance(domain, Rect):
-        x, y = pts.real, pts.imag
-        if closed:
-            return ((x >= domain.x_min) & (x <= domain.x_max)
-                    & (y >= domain.y_min) & (y <= domain.y_max))
-        return ((x > domain.x_min) & (x < domain.x_max)
-                & (y > domain.y_min) & (y < domain.y_max))
+    x, y = pts.real, pts.imag
     result = np.zeros(pts.shape, dtype=bool)
     for r in domain.rects:
-        result |= contains(r, pts, closed=True)
+        result |= (x >= r.x_min) & (x <= r.x_max) & (y >= r.y_min) & (y <= r.y_max)
     if not closed:
-        # Interior of the union: inside some closed member and off the
-        # outer boundary (the union has no holes).  The edges are
-        # axis-parallel, so each is its own bounding box, tested exactly.
-        verts = domain.vertices()
-        a, b = verts, np.roll(verts, -1)
-        x, y = pts.real[..., None], pts.imag[..., None]
-        on_edge = ((np.minimum(a.real, b.real) <= x) & (x <= np.maximum(a.real, b.real))
-                   & (np.minimum(a.imag, b.imag) <= y) & (y <= np.maximum(a.imag, b.imag)))
-        result &= ~np.any(on_edge, axis=-1)
+        result &= _edge_distance(pts, domain.vertices()) > 0
     return result
 
 
 def clearance(domain: DomainSpec, points) -> np.ndarray:
     """Signed distance from each point to the domain boundary.
 
-    Positive outside, negative inside, zero on the boundary.  For
-    rectangle unions the distance is measured to the outer boundary
-    polygon, which is exact because validated unions have no holes.
+    Positive outside, negative inside, zero (never -0.0) on the boundary.
+    For rectangles and unions the magnitude is :func:`_edge_distance` to
+    the boundary polygon (exact, since validated unions have no holes),
+    negative exactly where ``contains(closed=False)`` holds.
     """
     pts = np.atleast_1d(np.asarray(points, dtype=np.complex128))
     if isinstance(domain, Disc):
         return np.abs(pts - domain.center) - domain.radius
-    verts = domain.vertices()
-    a, b = verts, np.roll(verts, -1)
-    dist = _point_segment_distance(pts, a, b)
-    sign = np.where(contains(domain, pts, closed=True), -1.0, 1.0)
-    return sign * dist
+    dist = _edge_distance(pts, domain.vertices())
+    return np.where(contains(domain, pts, closed=True) & (dist > 0), -dist, dist)
 
 
 def diameter(domain: DomainSpec) -> float:
@@ -285,12 +281,8 @@ def interior_point(domain: DomainSpec) -> complex:
     """A point guaranteed to lie in the open domain."""
     if isinstance(domain, Disc):
         return domain.center
-    if isinstance(domain, Rect):
-        return complex((domain.x_min + domain.x_max) / 2,
-                       (domain.y_min + domain.y_max) / 2)
-    largest = max(domain.rects,
-                  key=lambda r: (r.x_max - r.x_min) * (r.y_max - r.y_min))
-    return interior_point(largest)
+    r = max(domain.rects, key=lambda r: (r.x_max - r.x_min) * (r.y_max - r.y_min))
+    return complex((r.x_min + r.x_max) / 2, (r.y_min + r.y_max) / 2)
 
 
 def inradius_about(domain: DomainSpec) -> float:
@@ -329,7 +321,7 @@ def _segment_segment_distance(a1: np.ndarray, b1: np.ndarray,
 
     Returns an array of shape (len(a1),): for each segment in family 1
     the distance to the nearest segment of family 2 (0 when they cross).
-    Huge coordinates are scaled as in :func:`_point_segment_distance`.
+    Huge coordinates are first scaled by a power of two (Blue, 1978).
     """
     s = _pow2_scale(a1, b1, a2, b2)
     if s != 1.0:
@@ -371,8 +363,10 @@ def _curve_distance(curve: SampledCurve, domain: DomainSpec,
         return 0.0
     a, b = curve.segment_starts(), curve.segment_ends()
     if isinstance(domain, Disc):
+        # the distance from the centre, scaled like the segment distances
         center = np.array([domain.center])
-        d = _point_segment_distance(center, a, b)[0] - domain.radius
+        s = _pow2_scale(a, b, center)
+        d = np.min(_seg_point(a * s, b * s, center * s)) / s - domain.radius
         return float(max(0.0, d))
     # Every point of a segment lies within half its length of an endpoint,
     # so segment i keeps at least min(c_i, c_i+1) - |b_i - a_i|/2 from the

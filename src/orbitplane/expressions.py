@@ -52,9 +52,10 @@ __all__ = [
     "evaluate_with_overflow",
 ]
 
-# Saturation target for overflowed evaluations: largest representable
-# magnitude, kept real so |value| is itself representable.
-SATURATION = complex(np.finfo(np.float64).max, 0.0)
+# Largest double.  SATURATION, the target for overflowed evaluations, is
+# it as a complex number, kept real so |value| is itself representable.
+LARGEST = float(np.finfo(np.float64).max)
+SATURATION = complex(LARGEST, 0.0)
 
 # Deepest expression the parser accepts, counted both in expression
 # levels and in nested subexpressions.  The parser recurses once per
@@ -85,6 +86,19 @@ def _flag_nonfinite(values: np.ndarray, overflow: np.ndarray) -> np.ndarray:
     return values
 
 
+def _power(x, n: int, mul):
+    """x^n for an integer n >= 1 by binary exponentiation, with ``mul``
+    multiplying two values."""
+    acc = None
+    while True:
+        if n & 1:
+            acc = x if acc is None else mul(acc, x)
+        n >>= 1
+        if not n:
+            return acc
+        x = mul(x, x)
+
+
 def _run(program: tuple, z: np.ndarray, overflow: np.ndarray) -> np.ndarray:
     """Values of ``program`` at the 1-D array ``z``.
 
@@ -108,15 +122,8 @@ def _run(program: tuple, z: np.ndarray, overflow: np.ndarray) -> np.ndarray:
         elif op == "div":
             push(_flag_nonfinite(pop() / arg, overflow))
         elif op == "pow":
-            # binary exponentiation
-            sq, acc = pop(), None
-            while arg:
-                if arg & 1:
-                    acc = sq if acc is None else _flag_nonfinite(acc * sq, overflow)
-                arg >>= 1
-                if arg:
-                    sq = _flag_nonfinite(sq * sq, overflow)
-            push(acc)
+            push(_power(pop(), arg,
+                        lambda u, v: _flag_nonfinite(u * v, overflow)))
         else:  # pow0
             push(np.ones(z.shape, dtype=np.complex128))
     return pop()
@@ -269,13 +276,7 @@ def _enclose(program: tuple, boxes: tuple) -> tuple:
             elif op == "div":
                 value = _bdiv(pop(), arg)
             elif op == "pow":
-                sq, value = pop(), None
-                while arg:
-                    if arg & 1:
-                        value = sq if value is None else _settle(_bmul(value, sq))
-                    arg >>= 1
-                    if arg:
-                        sq = _settle(_bmul(sq, sq))
+                value = _power(pop(), arg, lambda u, v: _settle(_bmul(u, v)))
             else:
                 v, u = pop(), pop()
                 if op == "mul":
@@ -325,14 +326,7 @@ def _exact(program: tuple, z: tuple):
             x, y = _qmul(pop(), (re, -im))
             push((x / n, y / n))
         elif op == "pow":
-            sq, value = pop(), (one, zero)
-            while arg:
-                if arg & 1:
-                    value = _qmul(value, sq)
-                arg >>= 1
-                if arg:
-                    sq = _qmul(sq, sq)
-            push(value)
+            push(_power(pop(), arg, _qmul))
         else:
             v, u = pop(), pop()
             if op == "mul":

@@ -36,7 +36,7 @@ import numpy as np
 
 from .domains import Disc
 from .errors import InvalidRadius
-from .expressions import FunctionExpression, evaluate
+from .expressions import LARGEST, FunctionExpression, evaluate
 
 __all__ = [
     "RadialExtremum",
@@ -76,7 +76,6 @@ _MAX_ROUNDS = 40
 _MAX_STALL = 3
 # Relative change of |f| below which a bracket is resolved to rounding.
 _FLAT = 2.0 ** -40
-_SATURATED = float(np.finfo(np.float64).max)
 
 CONVERGED = "converged"
 BUDGET = "budget"
@@ -132,8 +131,8 @@ def _slope(values: np.ndarray, derivs: np.ndarray, units: np.ndarray,
     with np.errstate(over="ignore", invalid="ignore"):
         g = -sign * (w_re * derivs.imag + w_im * derivs.real)
     g = np.where(g == g, g, 0.0)
-    np.minimum(g, _SATURATED, out=g)
-    return np.maximum(g, -_SATURATED, out=g)
+    np.minimum(g, LARGEST, out=g)
+    return np.maximum(g, -LARGEST, out=g)
 
 
 def _unresolved(x, gx, e, v, scale, r, tol):
@@ -149,7 +148,7 @@ def _unresolved(x, gx, e, v, scale, r, tol):
     mod = np.abs(v)
     with np.errstate(all="ignore"):
         drop = (scale / mod) * (2 * r * width * np.abs(gx) / mod)
-    return (gx != 0) & (width > tol) & (mod < _SATURATED) & ~(drop <= _FLAT)
+    return (gx != 0) & (width > tol) & (mod < LARGEST) & ~(drop <= _FLAT)
 
 
 def _brackets(f: FunctionExpression, df: Optional[FunctionExpression],
@@ -302,7 +301,7 @@ def _extremum(f: FunctionExpression, radii, n_coarse: int, tol: float,
         end = start + count
         k = start + int(np.argmin(v[start:end]))
         # |f| of finite values may overflow; report it saturated, like f
-        value = min(sign * float(v[k]), _SATURATED)
+        value = min(sign * float(v[k]), LARGEST)
         arg = float(x[k]) % (2 * math.pi)
         ran = rounds[start:end]
         results.append(RadialExtremum(

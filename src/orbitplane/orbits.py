@@ -31,8 +31,10 @@ from typing import Optional
 
 import numpy as np
 
+from .curves import _MAX_POINTS
 from .domains import DomainSpec, _cell_centers, contains
-from .expressions import FunctionExpression, evaluate, evaluate_with_overflow
+from .expressions import (LARGEST, FunctionExpression, evaluate,
+                          evaluate_with_overflow)
 
 __all__ = [
     "OrbitPolicy",
@@ -71,8 +73,6 @@ _SMITH_SAFE_EXPONENT = 1000
 
 # BUDGET_EXHAUSTED counts as bounded-suspect only with this much headroom.
 _BOUNDED_HEADROOM = 100.0
-
-_HUGE = float(np.finfo(np.float64).max)
 
 # Stop codes of the orbit kernel index this tuple of verdict kinds.
 _KINDS = (BUDGET_EXHAUSTED, ESCAPED, CYCLE_LOCKED, TRAPPED)
@@ -174,10 +174,10 @@ def iterate_orbit(f: FunctionExpression, z0: complex, policy: OrbitPolicy,
     # |z| of a finite z may overflow; report it saturated, like f itself
     return OrbitVerdict(
         kind, escape_step=step if escaped else None,
-        escape_modulus=min(float(stops.escape_modulus[0]), _HUGE) if escaped else None,
+        escape_modulus=min(float(stops.escape_modulus[0]), LARGEST) if escaped else None,
         period=int(stops.period[0]) if locked else None,
         representative=complex(stops.representative[0]) if locked else None,
-        max_modulus=min(float(stops.max_modulus[0]), _HUGE),
+        max_modulus=min(float(stops.max_modulus[0]), LARGEST),
         trace=tuple(trace) if keep_trace else None)
 
 
@@ -320,7 +320,7 @@ def _iterate_chunk(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
             esc = pos[escaped]
             m_esc = m[escaped]
             escape_modulus[stop(esc, _ESCAPED, step)] = np.where(
-                m_esc >= policy.escape_radius, m_esc, _HUGE)
+                m_esc >= policy.escape_radius, m_esc, LARGEST)
 
         if traps:
             caught = np.zeros(pos.size, dtype=bool)
@@ -426,13 +426,17 @@ def find_fixed_points(f: FunctionExpression, region: DomainSpec,
                       max_newton: int = 60) -> list[FixedPointRecord]:
     """Fixed points of f in a bounded region via Newton on g(z) = f(z) - z.
 
-    Seeds form a deterministic lattice over the region's bounding box.
+    Seeds form a deterministic lattice over the region's bounding box, of
+    at most the 200,000-point budget (447 seeds per axis).
     Converged roots (|g| < newton_tol) inside the region are deduplicated
     within 1e-6 and reported sorted by real then imaginary part.  Seeds
     that fail to converge are dropped silently; an empty result is valid.
     """
     if seeds_per_axis < 1:
         raise ValueError("seeds_per_axis must be at least 1")
+    if seeds_per_axis ** 2 > _MAX_POINTS:
+        raise ValueError(f"a {seeds_per_axis} x {seeds_per_axis} seed lattice "
+                         f"exceeds the {_MAX_POINTS}-point cap")
     df = f.derivative()
     z = _cell_centers(region, seeds_per_axis)
 

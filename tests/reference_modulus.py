@@ -16,11 +16,11 @@ import math
 
 import numpy as np
 
-from orbitplane.expressions import FunctionExpression, evaluate
+from orbitplane.expressions import LARGEST, FunctionExpression, evaluate
 from orbitplane.modulus import (BUDGET, CONVERGED, DEFAULT_BLOW_UP,
                                 DIVERGES, NOT_DIVERGING, RADIUS_FLOOR,
                                 REVISIT_RTOL, UNDECIDED, _MAX_BRACKETS,
-                                _MAX_ROUNDS, _MAX_STALL, _SATURATED,
+                                _MAX_ROUNDS, _MAX_STALL,
                                 MinModIterationReport, RadialExtremum,
                                 _check_radius, _unit_circle, _unresolved)
 
@@ -151,7 +151,7 @@ def reference_extremum(f: FunctionExpression, r: float, n_coarse: int,
 
     k = int(np.argmin(v))
     # |f| of finite values may overflow; report it saturated, like f itself
-    value = min(sign * float(v[k]), _SATURATED)
+    value = min(sign * float(v[k]), LARGEST)
     arg = float(x[k]) % (2 * math.pi)
     return RadialExtremum(r, value, arg, samples, refined, evaluations, stop)
 

@@ -160,6 +160,8 @@ BAD_FLAG_VALUES = {
                                  "--cycle-window", "100"],
     "fixed-points-seeds-zero": ["fixed-points", "--f", "z", "--rect",
                                 "-1,1,-1,1", "--seeds", "0"],
+    "fixed-points-seeds-above-cap": ["fixed-points", "--f", "z", "--rect",
+                                     "-1,1,-1,1", "--seeds", "448"],
     "fixed-points-max-newton-negative": ["fixed-points", "--f", "z", "--rect",
                                          "-1,1,-1,1", "--max-newton", "-1"],
     "fixed-points-newton-tol-inf": ["fixed-points", "--f", "z^2", "--rect",

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_distance import edge_points, reference_point_segment_distance
 
 from orbitplane.domains import (Disc, Rect, RectUnion, boundary, clearance,
                                 contains, contains_closure, diameter,
@@ -137,16 +138,29 @@ def test_contains_open_vs_closed():
 @pytest.mark.parametrize("n", range(1, 7))
 def test_union_boundary_points_are_not_interior(n):
     dom = ex51_domain(n)
-    verts = dom.vertices()
-    t = np.linspace(0.0, 1.0, 500)
-    for a, b in zip(verts, np.roll(verts, -1)):
-        # exactly on the edge: one coordinate is the edge's own
-        if a.real == b.real:
-            pts = a.real + 1j * (a.imag + t * (b.imag - a.imag))
-        else:
-            pts = (a.real + t * (b.real - a.real)) + 1j * a.imag
-        assert not np.any(contains(dom, pts, closed=False))
-        assert np.all(contains(dom, pts, closed=True))
+    # 2,000 points exactly on each edge.  Projecting them onto the edge's
+    # line instead of clipping put 14,870 of the 96,000 of n = 1..6 off
+    # the boundary, by up to 2.8e-14.
+    pts = edge_points(dom.vertices(), np.linspace(0.0, 1.0, 2000))
+    assert not np.any(contains(dom, pts, closed=False))
+    assert np.all(contains(dom, pts, closed=True))
+    c = clearance(dom, pts)
+    assert np.count_nonzero(c) == 0
+    assert not np.any(np.signbit(c))  # 0.0, never -0.0
+
+
+@pytest.mark.parametrize("dom", [Rect(-1.0, 2.0, -0.5, 1.0), two_rect_domain(1)]
+                         + [ex51_domain(n) for n in range(1, 7)])
+def test_clearance_off_the_boundary_matches_the_projection(dom):
+    rng = np.random.default_rng(17)
+    x0, x1, y0, y1 = dom.bounding_box()
+    w, h = x1 - x0, y1 - y0
+    pts = (rng.uniform(x0 - w, x1 + w, 5000)
+           + 1j * rng.uniform(y0 - h, y1 + h, 5000))
+    v = dom.vertices()
+    np.testing.assert_array_max_ulp(
+        np.abs(clearance(dom, pts)),
+        reference_point_segment_distance(pts, v, np.roll(v, -1)), maxulp=4)
 
 
 def test_clearance_signs_and_values():

@@ -4,6 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
+from orbitplane import orbits
 from orbitplane.domains import Disc, Rect
 from orbitplane.expressions import parse
 from orbitplane.orbits import (ATTRACTING, BUDGET_EXHAUSTED, CYCLE_LOCKED,
@@ -142,6 +143,21 @@ def test_fixed_points_cos_plus_z():
     assert abs(three_half.location - 3 * PI / 2) < 1e-8
     assert abs(three_half.multiplier - 2.0) <= 1e-8
     assert three_half.classification == REPELLING
+
+
+def test_seed_lattice_above_the_point_budget_is_refused_before_allocating(
+        monkeypatch):
+    def allocate(*args):
+        raise AssertionError("the seed lattice was allocated")
+
+    monkeypatch.setattr(orbits, "_cell_centers", allocate)
+    with pytest.raises(ValueError, match="448 x 448 seed lattice exceeds"):
+        find_fixed_points(parse("z^2"), Rect(-2, 2, -2, 2), 448)
+
+
+def test_seed_lattice_at_the_point_budget_runs():
+    recs = find_fixed_points(parse("z^2"), Rect(-2, 2, -2, 2), 447, max_newton=8)
+    assert np.allclose([r.location for r in recs], [0, 1], atol=1e-9)
 
 
 def test_fixed_points_squaring():

@@ -5,11 +5,12 @@ import math
 
 import numpy as np
 import pytest
+from reference_distance import reference_point_segment_distance
 from reference_winding import reference_winding
 
 from orbitplane.curves import (SampledCurve, _crossings, _hits, image_curve,
                                winding_number, winding_numbers)
-from orbitplane.domains import (Disc, Rect, RectUnion, _point_segment_distance,
+from orbitplane.domains import (Disc, Rect, RectUnion, _edge_distance,
                                 _segment_segment_distance, boundary, contains,
                                 curve_distance)
 from orbitplane.errors import AliasingUnresolved, CurveTooClose
@@ -170,7 +171,8 @@ def unfiltered_distance(curve, domain):
     if contains(domain, curve.points, closed=True).any():
         return 0.0
     if isinstance(domain, Disc):
-        d = _point_segment_distance(np.array([domain.center]), a, b)[0] - domain.radius
+        d = (reference_point_segment_distance(np.array([domain.center]), a, b)[0]
+             - domain.radius)
         return float(max(0.0, d))
     verts = domain.vertices()
     return float(np.min(_segment_segment_distance(a, b, verts,
@@ -273,13 +275,19 @@ def test_huge_segment_distances_scale_exactly(name):
         a, b = curve.segment_starts(), curve.segment_ends()
         if isinstance(domain, Disc):
             v = np.array([domain.center])
-            want = _point_segment_distance(v, a, b)
-            got = _point_segment_distance(v * BIG, a * BIG, b * BIG)
+            want = reference_point_segment_distance(v, a, b)
+            got = reference_point_segment_distance(v * BIG, a * BIG, b * BIG)
+            huge = Disc(domain.center * BIG, domain.radius * BIG)
+            assert (curve_distance(SampledCurve(curve.points * BIG), huge)
+                    == curve_distance(curve, domain) * BIG)
         else:
             v, w = domain.vertices(), np.roll(domain.vertices(), -1)
             want = _segment_segment_distance(a, b, v, w)
             got = _segment_segment_distance(a * BIG, b * BIG, v * BIG, w * BIG)
             assert np.array_equal(
-                _point_segment_distance(curve.points * BIG, v * BIG, w * BIG),
-                _point_segment_distance(curve.points, v, w) * BIG)
+                reference_point_segment_distance(curve.points * BIG, v * BIG,
+                                                 w * BIG),
+                reference_point_segment_distance(curve.points, v, w) * BIG)
+            assert np.array_equal(_edge_distance(curve.points * BIG, v * BIG),
+                                  _edge_distance(curve.points, v) * BIG)
         assert np.array_equal(got, want * BIG)
