@@ -229,11 +229,18 @@ def _edge_distance(points: np.ndarray, verts: np.ndarray) -> np.ndarray:
 
 
 def _cell_centers(domain: DomainSpec, k: int) -> np.ndarray:
-    """Centers of k x k equal cells over the bounding box, row-major."""
+    """Centers of k x k equal cells over the bounding box, row-major.
+
+    Each axis is taken at its own power-of-two scale (exactly 1.0 unless
+    a bound is huge, see ``curves._pow2_scale``), so the offsets of a box
+    too wide for them stay finite and a thin axis keeps its bits.
+    """
+    def axis(lo, hi):
+        s = _pow2_scale(np.array([lo, hi]))
+        return (lo * s + (np.arange(k) + 0.5) * (hi * s - lo * s) / k) / s
+
     x0, x1, y0, y1 = domain.bounding_box()
-    xs = x0 + (np.arange(k) + 0.5) * (x1 - x0) / k
-    ys = y0 + (np.arange(k) + 0.5) * (y1 - y0) / k
-    return (xs[None, :] + 1j * ys[:, None]).ravel()
+    return (axis(x0, x1)[None, :] + 1j * axis(y0, y1)[:, None]).ravel()
 
 
 def contains(domain: DomainSpec, points, closed: bool = True) -> np.ndarray:
@@ -410,8 +417,10 @@ def boundary(domain: DomainSpec, density: float = 10.0) -> SampledCurve:
     verts = domain.vertices()
     edges = np.roll(verts, -1) - verts
     lengths = np.abs(edges)
-    total = float(np.sum(lengths))
-    knots = np.concatenate([[0.0], np.cumsum(lengths)]) / total
+    # The perimeter may overflow where no edge does, so the knots are
+    # taken at a power-of-two scale, exactly 1.0 unless a vertex is huge.
+    scaled = lengths * _pow2_scale(verts)
+    knots = np.concatenate([[0.0], np.cumsum(scaled)]) / float(np.sum(scaled))
 
     def source(u):
         u = np.asarray(u, dtype=np.float64) % 1.0

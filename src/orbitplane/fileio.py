@@ -202,8 +202,8 @@ def _umask() -> int:
     return mask
 
 
-def atomic_write_bytes(path, data: bytes) -> None:
-    """Write ``data`` to ``path`` via a renamed temporary file.
+def atomic_write_bytes(path, data) -> None:
+    """Write the bytes-like ``data`` to ``path`` via a renamed temporary file.
 
     The file gets the mode a plain ``open`` would give it (0o666 less
     the umask), not the owner-only mode of the temporary file.
@@ -279,14 +279,19 @@ def write_ppm(path, classification: PixelClassification,
     """
     classes = classification.classes
     ny, nx = classes.shape
-    rgb = np.zeros((ny, nx, 3), dtype=np.uint8)
-    for cls, color in PALETTE.items():
-        rgb[classes == int(cls)] = color
-    if boundary_overlay is not None:
-        rgb[boundary_overlay] = BOUNDARY_RGB
-    rgb = rgb[::-1]  # image rows run top-down
     header = f"P6\n{nx} {ny}\n255\n".encode("ascii")
-    atomic_write_bytes(path, header + rgb.tobytes())
+    # The whole file is one buffer: the header, then each pixel's color
+    # looked up by its class byte (black outside the palette).
+    data = np.empty(len(header) + ny * nx * 3, dtype=np.uint8)
+    data[:len(header)] = np.frombuffer(header, dtype=np.uint8)
+    rgb = data[len(header):].reshape(ny, nx, 3)
+    table = np.zeros((256, 3), dtype=np.uint8)
+    for cls, color in PALETTE.items():
+        table[int(cls)] = color
+    rgb[...] = table[classes[::-1]]  # image rows run top-down
+    if boundary_overlay is not None:
+        rgb[boundary_overlay[::-1]] = BOUNDARY_RGB
+    atomic_write_bytes(path, data)
 
 
 def _deterministic_npz(arrays: dict[str, np.ndarray]) -> bytes:

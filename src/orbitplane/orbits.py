@@ -9,8 +9,10 @@ was left.  Cycle detection confirms every near-return by replaying one
 full period before locking, which avoids false positives from slow
 spirals.  One batched orbit kernel applies these rules: a single orbit
 is a batch of one, and ``raster.classify_grid`` runs it on every pixel,
-one chunk of starts at a time.  A chunk keeps the whole cycle window of
-history only for the starts still alive after its first few steps.
+one chunk of starts at a time: the caller makes each chunk's starts and
+takes its stops before the next chunk runs, so nothing per start
+outlives its chunk.  A chunk keeps the whole cycle window of history
+only for the starts still alive after its first few steps.
 
 A grid may also stop a start early in a certified trap: a closed disc
 D = D(c, rho) that f provably maps into itself (see ``traps``), so an
@@ -214,16 +216,42 @@ def _trap_fits(center: complex, radius: float, escape_radius: float) -> bool:
     return abs(center) + radius < escape_radius / _BOUNDED_HEADROOM * _SHRINK
 
 
-# Per-start outcome of _iterate, indexed like its starts: ``kind`` holds
+# Per-start outcome of the kernel, indexed like its starts: ``kind`` holds
 # codes into _KINDS; ``escape_modulus`` means something only where the
 # start escaped, ``period`` and ``representative`` only where it locked.
 _Stops = namedtuple("_Stops", "kind step escape_modulus period representative "
                     "max_modulus")
 
 
+def _empty_stops(n: int) -> _Stops:
+    return _Stops(np.empty(n, dtype=np.uint8), np.empty(n, dtype=np.int32),
+                  np.empty(n), np.empty(n, dtype=np.int32),
+                  np.empty(n, dtype=np.complex128), np.empty(n))
+
+
 def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
              traps=()) -> _Stops:
-    """The orbit kernel: iterate each start of the 1-D array ``z`` in place.
+    """The orbit kernel on the 1-D array ``z``, iterated in place: the
+    stops of every chunk of ``_stream``, collected into one ``_Stops``
+    indexed like ``z``."""
+    stops = _empty_stops(z.size)
+    for lo, hi, chunk in _stream(f, z.size, lambda lo, hi: z[lo:hi],
+                                 policy, traps):
+        for whole, part in zip(stops, chunk):
+            whole[lo:hi] = part
+    return stops
+
+
+def _stream(f: FunctionExpression, n: int, starts, policy: OrbitPolicy,
+            traps=()):
+    """The orbit kernel's chunk loop over ``n`` starts: yields
+    ``(lo, hi, stops)`` for each contiguous chunk of at most ``_CHUNK``.
+
+    ``starts(lo, hi)`` gives the chunk's starts as a 1-D complex array,
+    which the kernel iterates in place (see ``_iterate_chunk``).
+    ``stops`` is a view of one buffer that every chunk reuses, zeroed
+    before the chunk runs, so it holds the chunk's stops only until the
+    next chunk starts.
 
     ``traps`` holds certified trap discs (``traps.TrapDisc``), each used
     only if |center| + radius < escape_radius / 100; a start still alive after
@@ -233,31 +261,29 @@ def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
     rounding of the float test, so an accepted z lies in the closed disc.
     With no traps the kernel does no trap work at all.
 
-    Each start's orbit is independent of the others, so the starts run
-    in contiguous chunks of at most ``_CHUNK`` (see ``_iterate_chunk``),
-    each writing its slice of the stops.  The cycle history is per
-    chunk: ``_HEAD`` + 1 rows for its first ``_HEAD`` steps, in one
-    buffer that every chunk reuses, then the whole window for the
-    starts still alive.  More history entries, rows times all the
-    starts, than ``MAX_HISTORY`` raise ValueError before anything is
-    allocated.
+    Each start's orbit is independent of the others, so no chunk size
+    moves a stop.  The cycle history is per chunk: ``_HEAD`` + 1 rows for
+    its first ``_HEAD`` steps, in one buffer that every chunk reuses,
+    then the whole window for the starts still alive.  More history
+    entries, rows times all the starts, than ``MAX_HISTORY`` raise
+    ValueError before any history is allocated.
     """
-    n = z.size
     rows = min(policy.cycle_window, policy.budget + 1)
     if rows * n > MAX_HISTORY:
         raise ValueError(f"history of {rows} rows by {n} starts is above "
                          f"the cap of {MAX_HISTORY} entries")
     traps = [(t.center.real, t.center.imag, t.radius * t.radius * _SHRINK)
              for t in traps if _trap_fits(t.center, t.radius, policy.escape_radius)]
-    stops = _Stops(np.zeros(n, dtype=np.uint8), np.zeros(n, dtype=np.int32),
-                   np.zeros(n), np.zeros(n, dtype=np.int32),
-                   np.zeros(n, dtype=np.complex128), np.zeros(n))
-    # allocated once, so chunks after the first find its pages mapped
+    # allocated once, so chunks after the first find their pages mapped
+    buffer = _empty_stops(min(n, _CHUNK))
     head = np.empty((2, min(rows, _HEAD + 1), min(n, _CHUNK)))
     for lo in range(0, n, _CHUNK):
-        _iterate_chunk(f, z[lo:lo + _CHUNK], policy, traps, head,
-                       _Stops(*(a[lo:lo + _CHUNK] for a in stops)))
-    return stops
+        hi = min(lo + _CHUNK, n)
+        stops = _Stops(*(a[:hi - lo] for a in buffer))
+        for a in stops:
+            a.fill(0)
+        _iterate_chunk(f, starts(lo, hi), policy, traps, head, stops)
+        yield lo, hi, stops
 
 
 # The scan's ``h -= re_cols`` overflows where real parts lie near the

@@ -4,6 +4,8 @@
 center, so a pixel gets exactly its center's single-point class; the
 kernel takes the pixels in chunks, which bounds its cycle history, and
 keeps the whole window only for the pixels still alive after a few steps.
+Each chunk's centers are made when it starts and its stops become
+classes before the next one, so a pixel keeps only its class byte.
 It first certifies trap discs about the fixed points in the window and
 stops the starts that enter one; that saves the steps of orbits that
 would creep towards a parabolic point for the rest of the budget and
@@ -29,7 +31,7 @@ import numpy as np
 from .domains import Rect
 from .errors import InvalidRadius, RadiusOutsideWindow
 from .expressions import FunctionExpression
-from .orbits import _TRAPPED, OrbitPolicy, PointClass, _classes, _iterate
+from .orbits import _TRAPPED, OrbitPolicy, PointClass, _classes, _stream
 
 __all__ = [
     "GridSpec",
@@ -45,9 +47,9 @@ __all__ = [
 ]
 
 
-# Most pixels a grid may have: 4x the 800x400 benchmark render.  The
-# orbit kernel holds 57 bytes a pixel (the start and its stops); the
-# rest of its state, history included, is per chunk of starts.
+# Most pixels a grid may have: 4x the 800x400 benchmark render.  A
+# pixel keeps only its class byte; the orbit kernel's state, starts,
+# stops and history included, is per chunk of starts.
 MAX_PIXELS = 1_280_000
 
 
@@ -89,9 +91,14 @@ class GridSpec:
     def y_centers(self) -> np.ndarray:
         return self.window.y_min + (np.arange(self.ny) + 0.5) * self.dy
 
+    def centers(self, lo: int, hi: int) -> np.ndarray:
+        """Complex centers of the pixels lo..hi-1 in row-major order."""
+        i = np.arange(lo, hi)
+        return self.x_centers()[i % self.nx] + 1j * self.y_centers()[i // self.nx]
+
     def pixel_centers(self) -> np.ndarray:
         """Complex centers, shape (ny, nx); row iy has increasing y."""
-        return self.x_centers()[None, :] + 1j * self.y_centers()[:, None]
+        return self.centers(0, self.nx * self.ny).reshape(self.ny, self.nx)
 
 
 @dataclass(frozen=True)
@@ -130,10 +137,12 @@ def classify_grid(f: FunctionExpression, grid: GridSpec,
                   policy: OrbitPolicy) -> PixelClassification:
     """Classify every pixel center with the orbit kernel of ``orbits``.
 
-    The kernel gets all the centers in one call and runs them in chunks
-    of ``orbits._CHUNK`` starts, so its history is bounded per chunk;
-    after ``orbits._HEAD`` steps it holds the whole window only for the
-    starts still alive.
+    The kernel runs over chunks of ``orbits._CHUNK`` pixels in row-major
+    order: each chunk's centers are made when it starts, and its stops
+    become that chunk's classes and trapped count before the next chunk
+    runs.  So beyond the class array all memory is per chunk, history
+    included; after ``orbits._HEAD`` steps a chunk holds the whole
+    window only for the starts still alive.
     The kernel gets the trap discs certified about the fixed points in
     the window (see ``orbits``) and stops a start that enters one while
     it and the disc lie below escape_radius / 100.  The orbit of such a
@@ -144,10 +153,13 @@ def classify_grid(f: FunctionExpression, grid: GridSpec,
     from .traps import certified_traps  # rational arithmetic, on first use
 
     traps = certified_traps(f, grid.window, policy.escape_radius)
-    stops = _iterate(f, grid.pixel_centers().ravel(), policy, traps)
-    classes = _classes(stops.kind, stops.max_modulus, policy).astype(np.uint8)
+    classes = np.empty(grid.nx * grid.ny, dtype=np.uint8)
+    trapped = 0
+    for lo, hi, stops in _stream(f, classes.size, grid.centers, policy, traps):
+        classes[lo:hi] = _classes(stops.kind, stops.max_modulus, policy)
+        trapped += int(np.count_nonzero(stops.kind == _TRAPPED))
     return PixelClassification(grid, classes.reshape(grid.ny, grid.nx), policy,
-                               traps, int(np.count_nonzero(stops.kind == _TRAPPED)))
+                               traps, trapped)
 
 
 # ---------------------------------------------------------------------------

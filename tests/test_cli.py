@@ -357,6 +357,27 @@ def test_surround_check_of_huge_function_keeps_stderr_empty(tmp_path):
     assert pair["min_distance"] > 1.4e308
 
 
+# Boxes wider than the largest double over the probe lattice size, or
+# with a perimeter above it, get their probe lattices and boundaries at a
+# power-of-two scale: every probe is finite and tested, and no overflow
+# warning, which pytest turns into an error, is raised.
+@pytest.mark.parametrize("rects", [
+    "-2e307,2e307,-2e307,2e307;-4e307,4e307,-4e307,4e307",
+    "-4e307,4e307,-4e307,4e307;-8e307,8e307,-8e307,8e307",
+], ids=["lattice-overflows", "perimeter-overflows"])
+def test_surround_check_of_huge_rects_tests_every_probe(tmp_path, rects):
+    assert run(tmp_path, "surround-check", "--f", "2*z", "--density", "1e-304",
+               "--rects", rects) == 0
+    pair = load_and_validate(tmp_path, "surround_check.json")["pairs"][0]
+    assert pair["report"]["probes_tested"] == 25
+
+
+def test_fixed_points_on_a_huge_rect_raise_no_warning(tmp_path):
+    assert run(tmp_path, "fixed-points", "--f", "z*z",
+               "--rect=-1e307,1e307,-1e307,1e307") == 0
+    assert load_and_validate(tmp_path, "fixed_points.json")["seeds_per_axis"] == 24
+
+
 @pytest.mark.parametrize("argv", [
     ["spl-check", "--f", "1e308*(1+i)*z", "--discs", "1,2"],
     ["surround-check", "--f", "exp(z)", "--discs", "710,1e4", "--density", "0.5"],

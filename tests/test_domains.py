@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 from reference_distance import edge_points, reference_point_segment_distance
 
-from orbitplane.domains import (Disc, Rect, RectUnion, boundary, clearance,
-                                contains, contains_closure, diameter,
-                                inradius_about, interior_point)
+from orbitplane.curves import _pow2_scale
+from orbitplane.domains import (Disc, Rect, RectUnion, _cell_centers, boundary,
+                                clearance, contains, contains_closure,
+                                diameter, inradius_about, interior_point)
 from orbitplane.errors import DegenerateDomain
 from orbitplane.scenarios import ex51_domain
 
@@ -201,3 +202,73 @@ def test_interior_point_is_interior():
 def test_diameter():
     assert diameter(Disc(0j, 2.0)) == 4.0
     assert diameter(Rect(0, 3, 0, 4)) == 5.0
+
+
+def parts(z, scale=1.0):
+    """The bits of the real and imaginary parts of ``z``, each times the
+    power of two ``scale``, so -0.0 shows."""
+    return (np.stack([z.real, z.imag]) * scale).view(np.uint64)
+
+
+def shrunk(domain, s):
+    """A rectangle or union with every coordinate times the power of two s."""
+    rects = [Rect(r.x_min * s, r.x_max * s, r.y_min * s, r.y_max * s)
+             for r in domain.rects]
+    return rects[0] if isinstance(domain, Rect) else RectUnion(tuple(rects))
+
+
+# Boxes wider than the largest double over the lattice size or with a
+# perimeter above it: seed and probe lattices and sampled boundaries are
+# exactly the scaled copies of those of a box 2^-523 or 2^-524 as wide,
+# which no power-of-two scaling touches.
+HUGE_DOMAINS = [
+    Rect(-2e307, 2e307, -2e307, 2e307),
+    Rect(-4e307, 4e307, -4e307, 4e307),
+    Rect(-8e307, 8e307, -8e307, 8e307),
+    RectUnion((Rect(-8e307, 8e307, -4e307, 4e307),
+               Rect(-4e307, 4e307, -8e307, 8e307))),
+]
+
+
+@pytest.mark.parametrize("domain", HUGE_DOMAINS)
+def test_huge_lattices_are_scaled_copies(domain):
+    s = _pow2_scale(domain.vertices())
+    assert s < 1.0
+    small = _cell_centers(shrunk(domain, s), 5)
+    assert _pow2_scale(small) == 1.0
+    huge = _cell_centers(domain, 5)
+    assert np.array_equal(parts(huge), parts(small, 1 / s))
+    assert np.all(np.isfinite(huge)) and np.unique(huge).size == 25
+
+
+@pytest.mark.parametrize("domain", HUGE_DOMAINS)
+def test_huge_boundaries_are_scaled_copies(domain):
+    s = _pow2_scale(domain.vertices())
+    small = boundary(shrunk(domain, s), 1e-304 / s)
+    huge = boundary(domain, 1e-304)
+    assert np.array_equal(huge.params, small.params)
+    assert np.array_equal(parts(huge.points), parts(small.points, 1 / s))
+    u = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(parts(huge.source(u)), parts(small.source(u), 1 / s))
+    assert np.all(np.isfinite(huge.points)) and len(huge) > 8
+
+
+def test_a_thin_axis_beside_a_huge_one_keeps_its_bits():
+    # each axis has its own scale, so y is not flushed to zero by x's
+    ys = -1e-300 + (np.arange(5) + 0.5) * 1e-300 / 5
+    got = _cell_centers(Rect(-4e307, 4e307, -1e-300, -0.0), 5).reshape(5, 5)
+    assert np.array_equal(got.imag.view(np.uint64),
+                          np.repeat(ys, 5).reshape(5, 5).view(np.uint64))
+    assert np.all(np.isfinite(got.real)) and np.unique(got.real).size == 5
+
+
+def test_ordinary_lattices_keep_their_bits():
+    # the power-of-two scale is exactly 1.0 below 2^500, so the centers
+    # are those of the plain formula, signed zeros included
+    for x0, x1, y0, y1, k in [(-1.0, 1.0, -0.0, 2.0, 5), (0.1, 0.7, -3.0, 1e-300, 24),
+                              (-1e150, 1e150, -1.0, 1.0, 447)]:
+        xs = x0 + (np.arange(k) + 0.5) * (x1 - x0) / k
+        ys = y0 + (np.arange(k) + 0.5) * (y1 - y0) / k
+        want = (xs[None, :] + 1j * ys[:, None]).ravel()
+        got = _cell_centers(Rect(x0, x1, y0, y1), k)
+        assert np.array_equal(parts(got), parts(want))

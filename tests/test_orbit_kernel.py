@@ -23,9 +23,9 @@ import pytest
 from orbitplane import orbits
 from orbitplane.domains import Rect
 from orbitplane.expressions import parse
-from orbitplane.orbits import (_KINDS, CYCLE_LOCKED, MAX_HISTORY, OrbitPolicy,
-                               _iterate, iterate_orbit)
-from orbitplane.raster import MAX_PIXELS, GridSpec
+from orbitplane.orbits import (_KINDS, _TRAPPED, CYCLE_LOCKED, MAX_HISTORY,
+                               OrbitPolicy, _classes, _iterate, iterate_orbit)
+from orbitplane.raster import MAX_PIXELS, GridSpec, classify_grid
 from orbitplane.traps import certified_traps
 from reference_orbit import assert_kernel_matches
 
@@ -123,6 +123,23 @@ def test_stops_do_not_depend_on_the_chunk_size(monkeypatch, name, chunk, span):
         alone = starts[lo + c0:min(lo + c0 + chunk, hi)].copy()
         _iterate(f, alone, policy, traps)
         assert np.array_equal(z[c0:c0 + chunk], alone)
+
+
+# classify_grid streams the kernel: each chunk's centers are made when it
+# starts and its stops become classes before the next chunk runs.  No
+# chunk size may move a class or the trapped count from those of the
+# stops that _iterate collects over the whole grid.
+@pytest.mark.parametrize("chunk", [7, 4096])
+@pytest.mark.parametrize("name", CHUNK_GRIDS)
+def test_grid_classes_do_not_depend_on_the_chunk_size(monkeypatch, name, chunk):
+    f, traps, _, stops = default_chunk_run(name)
+    _, window, nx, ny, policy = CHUNK_GRIDS[name]
+    monkeypatch.setattr(orbits, "_CHUNK", chunk)
+    pc = classify_grid(f, GridSpec(window, nx, ny), policy)
+    assert pc.traps == traps
+    assert np.array_equal(pc.classes.ravel(),
+                          _classes(stops.kind, stops.max_modulus, policy))
+    assert pc.trapped == np.count_nonzero(stops.kind == _TRAPPED)
 
 
 # A chunk keeps a short history for its first _HEAD steps and only then

@@ -179,18 +179,43 @@ def classify_grid_peak(nx, ny):
         tracemalloc.stop()
 
 
-# The orbit kernel's cycle history is allocated per chunk of starts, and
-# a chunk keeps its whole window only for the starts alive after the
-# head, so these renders stay far below the 164 MB (800x400) and 41 MB
-# (400x200) one history over every pixel would take; a full window per
-# chunk read 37.8 and 24.5 MiB.  tracemalloc counts the bytes numpy
-# allocates, which unlike RSS does not depend on the host.
+# classify_grid streams the orbit kernel: a chunk's centers, stops and
+# cycle history live only while it runs, and a chunk keeps its whole
+# window only for the starts alive after the head, so beyond the one class
+# byte a pixel all memory is per chunk.  These grids read about 10.3 /
+# 10.8 / 11.7 MiB at 400x200 / 800x400 / 1600x800, and 12.8 / 26.1 /
+# 78.3 MiB with every start and its stops (57 bytes a pixel) held for the
+# whole grid.  tracemalloc counts the bytes numpy allocates, which unlike
+# RSS does not depend on the host.
 def test_classify_grid_allocation_peak_is_bounded():
-    assert classify_grid_peak(800, 400) < 32 * 2 ** 20
+    assert classify_grid_peak(800, 400) < 14 * 2 ** 20
 
 
 def test_classify_grid_allocation_peak_of_the_sinz_scenario_grid():
-    assert classify_grid_peak(400, 200) < 18 * 2 ** 20
+    assert classify_grid_peak(400, 200) < 12 * 2 ** 20
+
+
+def test_classify_grid_allocation_peak_hardly_grows_with_the_grid():
+    # four times the pixels adds only the class bytes, 0.92 MiB here
+    assert classify_grid_peak(1600, 800) < classify_grid_peak(800, 400) + 2 * 2 ** 20
+
+
+@pytest.mark.parametrize("window, nx, ny", [
+    (Rect(-10, 10, -5, 5), 400, 200),
+    (Rect(-1.0, 1.0, -1.0, 1.0), 5, 7),  # a center at 0 in each axis
+    (Rect(-3e300, 1e-300, -0.5, 2e-310), 33, 17),
+])
+def test_flat_range_centers_are_the_pixel_centers_bit_for_bit(window, nx, ny):
+    grid = GridSpec(window, nx, ny)
+    n = nx * ny
+    # the centers by broadcasting, computed independently of flat ranges
+    whole = (grid.x_centers()[None, :] + 1j * grid.y_centers()[:, None]).ravel()
+    assert np.array_equal(grid.pixel_centers().ravel().view(np.uint64),
+                          whole.view(np.uint64))
+    for lo, hi in [(0, n), (0, 1), (n - 1, n), (nx - 1, 2 * nx + 3),
+                   (n // 3, n // 2), (5, 5)]:
+        assert np.array_equal(grid.centers(lo, hi).view(np.uint64),
+                              whole[lo:hi].view(np.uint64))
 
 
 def test_classify_grid_serial_rerun_identical():
