@@ -64,6 +64,9 @@ class Rect:
             raise DegenerateDomain("rectangle bounds must be finite")
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise DegenerateDomain("rectangle bounds must satisfy min < max")
+        width, height = self.x_max - self.x_min, self.y_max - self.y_min
+        if not (math.isfinite(width) and math.isfinite(height)):
+            raise DegenerateDomain("rectangle width and height must be finite")
 
     @property
     def rects(self) -> tuple[Rect, ...]:
@@ -115,6 +118,7 @@ class RectUnion:
         if not rects:
             raise DegenerateDomain("rectangle union needs at least one member")
         object.__setattr__(self, "rects", rects)
+        Rect(*self.bounding_box())  # refuses a bounding box too wide
         poly = _trace_outer_polygon(rects)
         object.__setattr__(self, "_polygon", tuple(poly))
 

@@ -21,11 +21,12 @@ An expression is parsed once into a postfix *program*: a tuple of
 - ``("pow0", base)`` pushes x^0 = 1 for the base x, whose program it
   carries only to print it and to count its depth; x is never run.
 
-Six loops interpret a program, recursing only into a ``pow0`` base:
-``_run`` evaluates it, ``_enclose`` bounds it on rectangles with
-outward rounding, ``_exact`` evaluates it in rational arithmetic where
-that is exact, ``_source`` prints it, ``_derivative`` differentiates it
-into another program and ``_depth`` measures its nesting.
+One walker, ``_walk``, interprets a program under a table of rules, one
+per opcode: ``_RUN`` evaluates it, ``_ENCLOSE`` bounds it on rectangles
+with outward rounding, ``_EXACT`` evaluates it in rational arithmetic
+where that is exact, ``_SOURCE`` prints it, ``_DERIVATIVE`` differentiates
+it into another program and ``_DEPTH`` measures its nesting.  Only
+``_SOURCE`` and ``_DEPTH`` recurse, into a ``pow0`` base.
 
 Evaluation is total.  Intermediate overflow saturates to the largest
 representable magnitude and raises a flag instead of an exception, so
@@ -62,24 +63,44 @@ SATURATION = complex(LARGEST, 0.0)
 # nesting.
 MAX_DEPTH = 100
 
-_BINARY = {"add": np.add, "sub": np.subtract, "mul": np.multiply}
-_INFIX = {"add": "+", "sub": "-", "mul": "*"}
-_PRIMITIVES = {"exp": np.exp, "sin": np.sin, "cos": np.cos}
-# d(prim u)/du as a program suffix applied to u.
-_OUTER = {"exp": (("exp", None),), "sin": (("cos", None),),
-          "cos": (("sin", None), ("neg", None))}
+_PRIMITIVES = ("exp", "sin", "cos")
 
 _ZERO = (("const", 0j),)
 _ONE = (("const", 1 + 0j),)
 
 
 # ---------------------------------------------------------------------------
-# Interpreters
+# The program walker and its rules tables
 # ---------------------------------------------------------------------------
 
+# Operands each opcode pops from the stack.
+_ARITY = {"z": 0, "const": 0, "pow0": 0, "neg": 1, "exp": 1, "sin": 1,
+          "cos": 1, "div": 1, "pow": 1, "add": 2, "sub": 2, "mul": 2}
+
+
+def _walk(program: tuple, rules: dict, *context):
+    """Interpret ``program``: each instruction ``(op, arg)`` pops
+    ``_ARITY[op]`` operands, the deepest first, and pushes
+    ``rules[op](*context, arg, *operands)``.  Returns the last value."""
+    stack = []
+    push, pop = stack.append, stack.pop
+    for op, arg in program:
+        arity = _ARITY[op]
+        if not arity:
+            push(rules[op](*context, arg))
+        elif arity == 1:
+            push(rules[op](*context, arg, pop()))
+        else:
+            v = pop()
+            push(rules[op](*context, arg, pop(), v))
+    return pop()
+
+
 def _flag_nonfinite(values: np.ndarray, overflow: np.ndarray) -> np.ndarray:
-    bad = ~np.isfinite(values)
-    if bad.any():
+    finite = np.isfinite(values)
+    # np.count_nonzero is cheaper than ndarray.any on a few points
+    if np.count_nonzero(finite) < finite.size:
+        bad = ~finite
         values = values.copy() if not values.flags.writeable else values
         values[bad] = SATURATION
         overflow |= bad
@@ -99,34 +120,24 @@ def _power(x, n: int, mul):
         x = mul(x, x)
 
 
-def _run(program: tuple, z: np.ndarray, overflow: np.ndarray) -> np.ndarray:
-    """Values of ``program`` at the 1-D array ``z``.
-
-    Every operation but negation saturates its non-finite results and
-    marks them in ``overflow``.  The result never shares memory with ``z``.
-    """
-    stack = []
-    push, pop = stack.append, stack.pop
-    for op, arg in program:
-        if op == "z":
-            push(z.copy())
-        elif op in _PRIMITIVES:
-            push(_flag_nonfinite(_PRIMITIVES[op](pop()), overflow))
-        elif op in _BINARY:
-            v = pop()
-            push(_flag_nonfinite(_BINARY[op](pop(), v), overflow))
-        elif op == "const":
-            push(np.full(z.shape, arg, dtype=np.complex128))
-        elif op == "neg":
-            push(-pop())
-        elif op == "div":
-            push(_flag_nonfinite(pop() / arg, overflow))
-        elif op == "pow":
-            push(_power(pop(), arg,
-                        lambda u, v: _flag_nonfinite(u * v, overflow)))
-        else:  # pow0
-            push(np.ones(z.shape, dtype=np.complex128))
-    return pop()
+# Values at the 1-D array z (context z, overflow).  Every operation but
+# negation saturates its non-finite results and marks them in the flags
+# ``overflow``.  The result never shares memory with z.
+_RUN = {
+    "z": lambda z, overflow, _: z.copy(),
+    "const": lambda z, overflow, c: np.full(z.shape, c, dtype=np.complex128),
+    "pow0": lambda z, overflow, _: np.ones(z.shape, dtype=np.complex128),
+    "neg": lambda z, overflow, _, u: -u,
+    "exp": lambda z, overflow, _, u: _flag_nonfinite(np.exp(u), overflow),
+    "sin": lambda z, overflow, _, u: _flag_nonfinite(np.sin(u), overflow),
+    "cos": lambda z, overflow, _, u: _flag_nonfinite(np.cos(u), overflow),
+    "div": lambda z, overflow, c, u: _flag_nonfinite(u / c, overflow),
+    "pow": lambda z, overflow, n, u: _power(
+        u, n, lambda a, b: _flag_nonfinite(a * b, overflow)),
+    "add": lambda z, overflow, _, u, v: _flag_nonfinite(u + v, overflow),
+    "sub": lambda z, overflow, _, u, v: _flag_nonfinite(u - v, overflow),
+    "mul": lambda z, overflow, _, u, v: _flag_nonfinite(u * v, overflow),
+}
 
 
 # exp, sin, cos, sinh and cosh from the platform's math library are
@@ -207,6 +218,21 @@ def _settle(box):
                  for part, bound in zip(box, (-np.inf, np.inf) * 2))
 
 
+def _bpoint(boxes, c: complex):
+    """The point c as a batch shaped like ``boxes``."""
+    shape = np.shape(boxes[0])
+    re, im = np.full(shape, c.real), np.full(shape, c.imag)
+    return re, re, im, im
+
+
+def _bneg(u):
+    return (*_ineg(u[:2]), *_ineg(u[2:]))
+
+
+def _badd(u, v):
+    return (*_iadd(u[:2], v[:2]), *_iadd(u[2:], v[2:]))
+
+
 def _bmul(u, v):
     x, y, p, q = u[:2], u[2:], v[:2], v[2:]
     return (*_iadd(_imul(x, p), _ineg(_imul(y, q))),
@@ -237,6 +263,28 @@ def _bprim(op: str, u):
     return (*_imul(cos_x, cosh_y), *_ineg(_imul(sin_x, sinh_y)))
 
 
+def _settled(rule):
+    return lambda *args: _settle(rule(*args))
+
+
+# Context (boxes,): the batch of rectangles z ranges over.
+_ENCLOSE = {op: _settled(rule) for op, rule in {
+    "z": lambda boxes, _: tuple(np.asarray(b, dtype=float) for b in boxes),
+    "const": _bpoint,
+    "pow0": lambda boxes, _: _bpoint(boxes, 1.0),
+    "neg": lambda boxes, _, u: _bneg(u),
+    "exp": lambda boxes, _, u: _bprim("exp", u),
+    "sin": lambda boxes, _, u: _bprim("sin", u),
+    "cos": lambda boxes, _, u: _bprim("cos", u),
+    "div": lambda boxes, c, u: _bdiv(u, c),
+    "pow": lambda boxes, n, u: _power(
+        u, n, lambda a, b: _settle(_bmul(a, b))),
+    "add": lambda boxes, _, u, v: _badd(u, v),
+    "sub": lambda boxes, _, u, v: _badd(u, _bneg(v)),
+    "mul": lambda boxes, _, u, v: _bmul(u, v),
+}.items()}
+
+
 def _enclose(program: tuple, boxes: tuple) -> tuple:
     """Rectangles holding the values of ``program`` on the rectangles
     ``boxes``.
@@ -252,46 +300,48 @@ def _enclose(program: tuple, boxes: tuple) -> tuple:
     whole plane (-inf, inf) x (-inf, inf), never a saturated finite
     value, and no warning escapes.
     """
-    shape = np.shape(boxes[0])
-
-    def point(c: complex):
-        re, im = np.full(shape, c.real), np.full(shape, c.imag)
-        return re, re, im, im
-
-    stack = []
-    push, pop = stack.append, stack.pop
     with np.errstate(all="ignore"):
-        for op, arg in program:
-            if op == "z":
-                value = tuple(np.asarray(b, dtype=float) for b in boxes)
-            elif op == "const":
-                value = point(arg)
-            elif op == "pow0":
-                value = point(1.0)
-            elif op in _PRIMITIVES:
-                value = _bprim(op, pop())
-            elif op == "neg":
-                u = pop()
-                value = (*_ineg(u[:2]), *_ineg(u[2:]))
-            elif op == "div":
-                value = _bdiv(pop(), arg)
-            elif op == "pow":
-                value = _power(pop(), arg, lambda u, v: _settle(_bmul(u, v)))
-            else:
-                v, u = pop(), pop()
-                if op == "mul":
-                    value = _bmul(u, v)
-                else:
-                    if op == "sub":
-                        v = (*_ineg(v[:2]), *_ineg(v[2:]))
-                    value = (*_iadd(u[:2], v[:2]), *_iadd(u[2:], v[2:]))
-            push(_settle(value))
-    return pop()
+        return _walk(program, _ENCLOSE, boxes)
 
 
 def _qmul(u: tuple, v: tuple) -> tuple:
     """Product of complex rationals, each a (re, im) pair of Fractions."""
     return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+class _Inexact(Exception):
+    """A value of the program is not a complex rational."""
+
+
+def _qdiv(u: tuple, re, im) -> tuple:
+    """u / (re + i im) for complex rationals."""
+    n = re * re + im * im
+    x, y = _qmul(u, (re, -im))
+    return x / n, y / n
+
+
+def _qprim(u: tuple, at_zero: tuple) -> tuple:
+    """exp, sin or cos of u, worth ``at_zero`` at 0 and inexact elsewhere."""
+    if any(u):
+        raise _Inexact
+    return at_zero
+
+
+# Context (z, q): the complex rational point and the type of its parts.
+_EXACT = {
+    "z": lambda z, q, _: z,
+    "const": lambda z, q, c: (q(c.real), q(c.imag)),
+    "pow0": lambda z, q, _: (q(1), q(0)),
+    "neg": lambda z, q, _, u: (-u[0], -u[1]),
+    "exp": lambda z, q, _, u: _qprim(u, (q(1), q(0))),
+    "sin": lambda z, q, _, u: _qprim(u, (q(0), q(0))),
+    "cos": lambda z, q, _, u: _qprim(u, (q(1), q(0))),
+    "div": lambda z, q, c, u: _qdiv(u, q(c.real), q(c.imag)),
+    "pow": lambda z, q, n, u: _power(u, n, _qmul),
+    "add": lambda z, q, _, u, v: (u[0] + v[0], u[1] + v[1]),
+    "sub": lambda z, q, _, u, v: (u[0] - v[0], u[1] - v[1]),
+    "mul": lambda z, q, _, u, v: _qmul(u, v),
+}
 
 
 def _exact(program: tuple, z: tuple):
@@ -302,113 +352,56 @@ def _exact(program: tuple, z: tuple):
     value.  exp, sin and cos are rational only at 0 here, so any other
     argument gives None.
     """
-    rational = type(z[0])
-    zero, one = rational(0), rational(1)
-    stack = []
-    push, pop = stack.append, stack.pop
-    for op, arg in program:
-        if op == "z":
-            push(z)
-        elif op == "const":
-            push((rational(arg.real), rational(arg.imag)))
-        elif op == "pow0":
-            push((one, zero))
-        elif op in _PRIMITIVES:
-            if any(pop()):
-                return None
-            push((zero if op == "sin" else one, zero))
-        elif op == "neg":
-            re, im = pop()
-            push((-re, -im))
-        elif op == "div":
-            re, im = rational(arg.real), rational(arg.imag)
-            n = re * re + im * im
-            x, y = _qmul(pop(), (re, -im))
-            push((x / n, y / n))
-        elif op == "pow":
-            push(_power(pop(), arg, _qmul))
-        else:
-            v, u = pop(), pop()
-            if op == "mul":
-                push(_qmul(u, v))
-            else:
-                sign = 1 if op == "add" else -1
-                push((u[0] + sign * v[0], u[1] + sign * v[1]))
-    return pop()
+    try:
+        return _walk(program, _EXACT, z, type(z[0]))
+    except _Inexact:
+        return None
 
 
-def _source(program: tuple) -> str:
-    """Canonical fully parenthesized source of ``program``."""
-    stack = []
-    for op, arg in program:
-        if op == "z":
-            stack.append("z")
-        elif op == "const":
-            stack.append(_format_complex(arg))
-        elif op in _INFIX:
-            v = stack.pop()
-            stack.append(f"({stack.pop()} {_INFIX[op]} {v})")
-        elif op == "neg":
-            stack.append(f"(-{stack.pop()})")
-        elif op == "div":
-            stack.append(f"({stack.pop()} / {_format_complex(arg)})")
-        elif op == "pow":
-            stack.append(f"({stack.pop()}^{arg})")
-        elif op == "pow0":
-            stack.append(f"({_source(arg)}^0)")
-        else:
-            stack.append(f"{op}({stack.pop()})")
-    return stack.pop()
+# Canonical fully parenthesized source.
+_SOURCE = {
+    "z": lambda _: "z",
+    "const": lambda c: _format_complex(c),
+    "pow0": lambda base: f"({_walk(base, _SOURCE)}^0)",
+    "neg": lambda _, u: f"(-{u})",
+    "exp": lambda _, u: f"exp({u})",
+    "sin": lambda _, u: f"sin({u})",
+    "cos": lambda _, u: f"cos({u})",
+    "div": lambda c, u: f"({u} / {_format_complex(c)})",
+    "pow": lambda n, u: f"({u}^{n})",
+    "add": lambda _, u, v: f"({u} + {v})",
+    "sub": lambda _, u, v: f"({u} - {v})",
+    "mul": lambda _, u, v: f"({u} * {v})",
+}
 
 
-def _depth(program: tuple) -> int:
-    """Levels of the expression ``program`` encodes; a leaf is one level."""
-    stack = []
-    for op, arg in program:
-        if op in ("z", "const"):
-            stack.append(1)
-        elif op in _BINARY:
-            v = stack.pop()
-            stack.append(1 + max(stack.pop(), v))
-        elif op == "pow0":
-            stack.append(1 + _depth(arg))
-        else:  # one operand; a denominator is a leaf below its quotient
-            stack.append(1 + stack.pop())
-    return stack.pop()
+# A leaf is one level; a denominator is a leaf below its quotient.
+_DEPTH = {**dict.fromkeys(_ARITY, lambda _, *u: 1 + max(u, default=0)),
+          "pow0": lambda base: 1 + _walk(base, _DEPTH)}
 
 
-def _derivative(program: tuple) -> tuple:
-    """Program of d/dz of ``program``, lightly simplified."""
-    stack = []  # (program, derivative) of each pending operand
-    for ins in program:
-        op, arg = ins
-        if op == "z":
-            u, du = (), _ONE
-        elif op in ("const", "pow0"):
-            u, du = (), _ZERO
-        elif op in _BINARY:
-            v, dv = stack.pop()
-            u, du = stack.pop()
-            if op == "add":
-                du = _add(du, dv)
-            elif op == "sub":
-                du = _sub(du, dv)
-            else:
-                du = _add(_mul(du, v), _mul(u, dv))
-            u += v
-        else:
-            u, du = stack.pop()
-            if op == "neg":
-                du = _neg(du)
-            elif op == "div":
-                du += (ins,)
-            elif op in _OUTER:
-                du = _mul(u + _OUTER[op], du)
-            elif arg > 1:  # pow; (u^1)' is u'
-                outer = _mul((("const", complex(arg)),), u + (("pow", arg - 1),))
-                du = _mul(outer, du)
-        stack.append((u + (ins,), du))
-    return stack.pop()[1]
+def _pairing(op: str, rule):
+    return lambda arg, *pairs: (sum((u for u, _ in pairs), ()) + ((op, arg),),
+                                rule(arg, *pairs))
+
+
+# Program of d/dz, lightly simplified.  Each value is a (program,
+# derivative) pair, and each rule makes the derivative from its operands'.
+_DERIVATIVE = {op: _pairing(op, rule) for op, rule in {
+    "z": lambda _: _ONE,
+    "const": lambda _: _ZERO,
+    "pow0": lambda _: _ZERO,
+    "neg": lambda _, u: _neg(u[1]),
+    "exp": lambda _, u: _mul(u[0] + (("exp", None),), u[1]),
+    "sin": lambda _, u: _mul(u[0] + (("cos", None),), u[1]),
+    "cos": lambda _, u: _mul(u[0] + (("sin", None), ("neg", None)), u[1]),
+    "div": lambda c, u: u[1] + (("div", c),),
+    "pow": lambda n, u: u[1] if n == 1 else _mul(  # (u^1)' is u'
+        _mul((("const", complex(n)),), u[0] + (("pow", n - 1),)), u[1]),
+    "add": lambda _, u, v: _add(u[1], v[1]),
+    "sub": lambda _, u, v: _sub(u[1], v[1]),
+    "mul": lambda _, u, v: _add(_mul(u[1], v[0]), _mul(u[0], v[1])),
+}.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -622,7 +615,7 @@ class _Parser:
 
     def check_depth(self, program: tuple, pos: int) -> None:
         # An expression has no more levels than the source has tokens.
-        if len(self.tokens) > MAX_DEPTH and _depth(program) > MAX_DEPTH:
+        if len(self.tokens) > MAX_DEPTH and _walk(program, _DEPTH) > MAX_DEPTH:
             raise ExprSyntaxError(
                 f"expression nested deeper than {MAX_DEPTH} levels", pos)
 
@@ -638,7 +631,8 @@ class _Parser:
             return None
         overflow = np.zeros(1, dtype=bool)
         with np.errstate(all="ignore"):
-            value = _run(program, np.zeros(1, dtype=np.complex128), overflow)
+            value = _walk(program, _RUN, np.zeros(1, dtype=np.complex128),
+                          overflow)
         if overflow[0]:
             raise ExprSyntaxError("constant expression overflows", pos,
                                   "a finite constant")
@@ -679,7 +673,7 @@ class FunctionExpression:
 
     def __init__(self, program: tuple):
         object.__setattr__(self, "program", program)
-        object.__setattr__(self, "_text", _source(program))
+        object.__setattr__(self, "_text", _walk(program, _SOURCE))
         object.__setattr__(self, "_derivative_expr", None)
 
     def __setattr__(self, name, value):
@@ -692,7 +686,7 @@ class FunctionExpression:
         if self._derivative_expr is None:
             # a race builds two equal expressions; either may be kept
             object.__setattr__(self, "_derivative_expr",
-                               FunctionExpression(_derivative(self.program)))
+                               FunctionExpression(_walk(self.program, _DERIVATIVE)[1]))
         return self._derivative_expr
 
     def to_source(self) -> str:
@@ -732,7 +726,7 @@ def evaluate_with_overflow(f: FunctionExpression, z):
     work = arr.reshape(-1)
     overflow = np.zeros(work.shape, dtype=bool)
     with np.errstate(all="ignore"):
-        values = _run(f.program, work, overflow)
+        values = _walk(f.program, _RUN, work, overflow)
     if scalar:
         return complex(values[0]), bool(overflow[0])
     return values.reshape(arr.shape), overflow.reshape(arr.shape)

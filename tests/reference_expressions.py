@@ -2,9 +2,9 @@
 printed and differentiated by recursion.
 
 The library parses each expression into a flat postfix program that
-one loop each evaluates, prints and differentiates
-(``orbitplane.expressions``); this is the earlier tree reading of the
-same grammar that the tests compare the program against.
+one walker evaluates, prints and differentiates, each under its own
+table of rules (``orbitplane.expressions``); this is the earlier tree
+reading of the same grammar that the tests compare the program against.
 ``tree_of(program)`` rebuilds the tree of a parsed program, and
 ``tree_evaluate_with_overflow`` evaluates a tree as the library
 evaluates a program.

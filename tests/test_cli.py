@@ -151,6 +151,11 @@ BAD_FLAG_VALUES = {
                       "--nx", "1", "--ny", "4"],
     "render-window-overflows": ["render", "--f", "z", "--window",
                                 "-1.7e308,1.7e308,-1,1", "--nx", "4", "--ny", "4"],
+    "rects-width-overflows": ["surround-check", "--f", "z/4", "--density", "1e-305",
+                              "--rects=-1e308,1e308,-1e308,1e308;"
+                              "-1.7e308,1.7e308,-1.7e308,1.7e308"],
+    "fixed-points-rect-width-overflows": ["fixed-points", "--f", "z*z",
+                                          "--rect=-1e308,1e308,-1e308,1e308"],
     "render-pixel-underflows": ["render", "--f", "z", "--window",
                                 "-1,1,0,1e-323", "--nx", "4", "--ny", "4"],
     "render-pixels-above-cap": ["render", "--f", "z", "--window", "-1,1,-1,1",

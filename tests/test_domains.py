@@ -35,6 +35,20 @@ def test_rect_validation():
         Disc(0j, -1.0)
 
 
+@pytest.mark.parametrize("bounds", [(-1.7e308, 1.7e308, -1.0, 1.0),
+                                    (-1.0, 1.0, -1e308, 1e308)],
+                         ids=["width", "height"])
+def test_rect_refuses_a_width_or_height_that_overflows(bounds):
+    with pytest.raises(DegenerateDomain, match="width and height must be finite"):
+        Rect(*bounds)
+
+
+def test_union_refuses_a_bounding_box_that_overflows():
+    # each member is fine, but the union is 2e308 wide
+    with pytest.raises(DegenerateDomain, match="width and height must be finite"):
+        RectUnion((Rect(-1e308, 0.0, 0.0, 1.0), Rect(0.0, 1e308, 0.0, 1.0)))
+
+
 def test_union_must_be_tree():
     with pytest.raises(DegenerateDomain):
         RectUnion((Rect(0, 1, 0, 1), Rect(2, 3, 2, 3)))  # disconnected

@@ -155,8 +155,11 @@ def test_overflow_makes_the_whole_plane():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = _enclose(program, box)
-    assert [b[0] for b in out] == [-np.inf, np.inf, -np.inf, np.inf]
-    assert np.all(np.isfinite([b[1] for b in out]))
+        # every operation settles, so a lone exp is not left half-infinite
+        alone = _enclose(parse("exp(z)").program, box)
+    for got in (out, alone):
+        assert [b[0] for b in got] == [-np.inf, np.inf, -np.inf, np.inf]
+        assert np.all(np.isfinite([b[1] for b in got]))
 
 
 def test_division_by_tiny_constants():
@@ -178,6 +181,11 @@ def test_exact_evaluation():
     origin = (Fraction(0), Fraction(0))
     assert _exact(parse("sin(z) + cos(z) * exp(z)").program, origin) == (1, 0)
     assert _exact(parse("sin(z)").program, q) is None
+    # an inexact primitive anywhere gives None, even under a zero factor;
+    # one at 0 is exact, and the base of x^0 is never run
+    assert _exact(parse("z + 0*sin(z)").program, q) is None
+    assert _exact(parse("exp(z - z)").program, q) == (1, 0)
+    assert _exact(parse("sin(z)^0").program, q) == (1, 0)
     assert _exact(parse("z / (1 + 1i)").program, (Fraction(2), Fraction(0))) == (1, -1)
 
 

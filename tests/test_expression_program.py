@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from orbitplane.errors import ExprSyntaxError, NonEntireError
-from orbitplane.expressions import MAX_DEPTH, evaluate_with_overflow, parse
+from orbitplane.expressions import (_ARITY, _DEPTH, _DERIVATIVE, _ENCLOSE,
+                                    _EXACT, _RUN, _SOURCE, MAX_DEPTH,
+                                    evaluate_with_overflow, parse)
 from orbitplane.scenarios import EX51_SOURCE, EX52_SOURCE, SINZ_SOURCE
 
 from reference_expressions import tree_evaluate_with_overflow, tree_of
@@ -125,3 +127,8 @@ def test_zeroth_power_base_reading_z_is_not_constant():
     with pytest.raises(NonEntireError, match="exponent must be a constant"):
         parse("z^(z^0)")
     assert parse("z/(2^0)").to_source() == "(z / 1.0)"
+
+
+def test_every_rules_table_has_a_rule_for_each_opcode():
+    for rules in (_RUN, _ENCLOSE, _EXACT, _SOURCE, _DERIVATIVE, _DEPTH):
+        assert rules.keys() == _ARITY.keys()

@@ -541,10 +541,9 @@ def test_resolution_probe_reports_counts():
     assert all(c >= 1 for c in counts)
 
 
-@pytest.mark.parametrize("window", [(-1.7e308, 1.7e308, -1, 1),
-                                    (-1, 1, -1e-320, 1e-320), (-1, 1, 0, 1e-323)],
-                         ids=["width-overflows", "ratio-overflows",
-                              "height-underflows"])
+# a window too wide for a double is refused by Rect itself (test_domains)
+@pytest.mark.parametrize("window", [(-1, 1, -1e-320, 1e-320), (-1, 1, 0, 1e-323)],
+                         ids=["ratio-overflows", "height-underflows"])
 def test_grid_refuses_non_finite_pixel_sizes(window):
     with pytest.raises(ValueError, match="pixel sizes"):
         GridSpec(Rect(*window), 4, 4)
