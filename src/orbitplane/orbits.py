@@ -10,9 +10,11 @@ full period before locking, which avoids false positives from slow
 spirals.  One batched orbit kernel applies these rules: a single orbit
 is a batch of one, and ``raster.classify_grid`` runs it on every pixel,
 one chunk of starts at a time: the caller makes each chunk's starts and
-takes its stops before the next chunk runs, so nothing per start
-outlives its chunk.  A chunk keeps the whole cycle window of history
-only for the starts still alive after its first few steps.
+takes its stops before the next chunk runs.  A chunk keeps a short
+history for its first few steps; the few starts still alive then go on
+in one shared pool, which runs the rest of the budget for the survivors
+of many chunks at once, with the whole cycle window carved from the
+chunks' idle short history.
 
 A grid may also stop a start early in a certified trap: a closed disc
 D = D(c, rho) that f provably maps into itself (see ``traps``), so an
@@ -98,15 +100,16 @@ _COMPACT_FRACTION = 0.9
 _CHUNK = 2 ** 15
 
 # For its first this many steps a chunk keeps only the history rows they
-# write; most starts of a grid stop by then, and the chunk's survivors
-# then get the whole window, sized to them.
+# write; most starts of a grid stop by then.  The survivors of each chunk
+# then join one pool, whose whole window takes the place of those rows,
+# or get a window of their own where they do not fit there.
 _HEAD = 8
 
 # The kernel refuses more history entries than this, counted as rows
 # times all the starts of a batch (1 GB of real and imaginary parts if
-# it were allocated at once), although it allocates the whole window
-# only per chunk and for the starts alive after the head; the default
-# policy on the largest grid needs 40.96M.
+# it were allocated at once), although it holds the whole window only
+# for the starts alive after the head; the default policy on the largest
+# grid needs 40.96M.
 MAX_HISTORY = 2 ** 26
 
 
@@ -231,27 +234,46 @@ def _empty_stops(n: int) -> _Stops:
 
 def _iterate(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
              traps=()) -> _Stops:
-    """The orbit kernel on the 1-D array ``z``, iterated in place: the
-    stops of every chunk of ``_stream``, collected into one ``_Stops``
-    indexed like ``z``."""
+    """The orbit kernel on the 1-D array ``z``: the stops that ``_stream``
+    yields, collected into one ``_Stops`` indexed like ``z``.
+
+    ``z`` is the kernel's working space (see ``_stream``); afterwards a
+    batch of one holds its start's value at its stop, or at step
+    ``_HEAD`` when the start went on in the pool.
+    """
     stops = _empty_stops(z.size)
-    for lo, hi, chunk in _stream(f, z.size, lambda lo, hi: z[lo:hi],
-                                 policy, traps):
-        for whole, part in zip(stops, chunk):
-            whole[lo:hi] = part
+    for where, part in _stream(f, z.size, lambda lo, hi: z[lo:hi], policy,
+                               traps):
+        for whole, p in zip(stops, part):
+            whole[where] = p
     return stops
 
 
 def _stream(f: FunctionExpression, n: int, starts, policy: OrbitPolicy,
             traps=()):
     """The orbit kernel's chunk loop over ``n`` starts: yields
-    ``(lo, hi, stops)`` for each contiguous chunk of at most ``_CHUNK``.
+    ``(where, stops)``, where ``where`` is the slice of a contiguous chunk
+    of at most ``_CHUNK`` starts or the index array of a pool.
 
-    ``starts(lo, hi)`` gives the chunk's starts as a 1-D complex array,
-    which the kernel iterates in place (see ``_iterate_chunk``).
-    ``stops`` is a view of one buffer that every chunk reuses, zeroed
-    before the chunk runs, so it holds the chunk's stops only until the
-    next chunk starts.
+    ``starts(lo, hi)`` gives a chunk's starts as a 1-D complex array,
+    which the kernel iterates and compacts in place as working space; a
+    start that goes on in the pool leaves there its value at step
+    ``_HEAD``.  Stops are views of buffers that the next chunk or pool
+    reuses.
+
+    A chunk runs its first ``_HEAD`` steps with ``_HEAD`` + 1 history
+    rows, in one buffer that every chunk reuses.  Each start still alive
+    then moves into one pool with its z, max modulus, pending return and
+    head rows; its entry in the chunk's stops is a placeholder that the
+    pool's entry overwrites.  The pool runs the rest of the budget for
+    all its starts at once, with the whole window carved from the head
+    buffer, when the next chunk's survivors would not fit there and
+    after the last chunk.  A chunk whose survivors alone do not fit goes
+    on with a window of its own.  Every orbit is independent of the
+    others and every pooled start is at the same step, so neither the
+    chunk size nor the pool moves a stop.  More history entries, rows
+    times all the starts, than ``MAX_HISTORY`` raise ValueError before
+    any history is allocated.
 
     ``traps`` holds certified trap discs (``traps.TrapDisc``), each used
     only if |center| + radius < escape_radius / 100; a start still alive after
@@ -260,70 +282,134 @@ def _stream(f: FunctionExpression, n: int, starts, policy: OrbitPolicy,
     tested against the squared radius shrunk by 2^-40, more than the
     rounding of the float test, so an accepted z lies in the closed disc.
     With no traps the kernel does no trap work at all.
-
-    Each start's orbit is independent of the others, so no chunk size
-    moves a stop.  The cycle history is per chunk: ``_HEAD`` + 1 rows for
-    its first ``_HEAD`` steps, in one buffer that every chunk reuses,
-    then the whole window for the starts still alive.  More history
-    entries, rows times all the starts, than ``MAX_HISTORY`` raise
-    ValueError before any history is allocated.
     """
     rows = min(policy.cycle_window, policy.budget + 1)
     if rows * n > MAX_HISTORY:
         raise ValueError(f"history of {rows} rows by {n} starts is above "
                          f"the cap of {MAX_HISTORY} entries")
-    traps = [(t.center.real, t.center.imag, t.radius * t.radius * _SHRINK)
-             for t in traps if _trap_fits(t.center, t.radius, policy.escape_radius)]
+    used = [t for t in traps
+            if _trap_fits(t.center, t.radius, policy.escape_radius)]
+    # No z with |z| above the hull lies in a used trap; its margin is far
+    # more than the rounding of |z| and of the hull.
+    traps = (max((abs(t.center) + t.radius for t in used), default=0.0)
+             * (1.0 + 2.0 ** -20),
+             [(t.center.real, t.center.imag, t.radius * t.radius * _SHRINK)
+              for t in used])
     # allocated once, so chunks after the first find their pages mapped
     buffer = _empty_stops(min(n, _CHUNK))
     head = np.empty((2, min(rows, _HEAD + 1), min(n, _CHUNK)))
+    room = head[0].size // rows  # starts whose whole window fits the head
+    pool = []
     for lo in range(0, n, _CHUNK):
         hi = min(lo + _CHUNK, n)
         stops = _Stops(*(a[:hi - lo] for a in buffer))
         for a in stops:
             a.fill(0)
-        _iterate_chunk(f, starts(lo, hi), policy, traps, head, stops)
-        yield lo, hi, stops
+        piece = _run_chunk(f, starts(lo, hi), lo, head, room, rows, stops,
+                           policy, traps)
+        yield slice(lo, hi), stops
+        if piece:
+            if sum(p[0].size for p in pool + [piece]) > room:
+                yield _run_pool(f, pool, head, buffer, rows, policy, traps)
+                pool = []
+            pool.append(piece)
+    if pool:
+        yield _run_pool(f, pool, head, buffer, rows, policy, traps)
+
+
+def _run_chunk(f: FunctionExpression, z: np.ndarray, lo: int,
+               head: np.ndarray, room: int, rows: int, stops: _Stops,
+               policy: OrbitPolicy, traps) -> Optional[tuple]:
+    """Run the chunk ``z`` of starts ``lo`` on through the head steps, with
+    its history in ``head``.  Its survivors return as a piece for the pool
+    if they fit ``room``: their indices, z, max modulus, pending return
+    and head rows.  More survivors go on at once, in a window of their own.
+    """
+    state = (z, np.arange(z.size), np.abs(z), np.full(z.size, -1, dtype=np.int64))
+    written = head.shape[1]  # the history rows of the head steps
+    hist = _carve(head, written, z.size)
+    hist[0, 0], hist[1, 0] = z.real, z.imag
+    keep = _iterate_chunk(f, *state, hist, stops,
+                          range(1, min(_HEAD, policy.budget) + 1), policy, traps)
+    k = keep.size
+    if k == 0:
+        return None
+    # The survivors' head rows, in a whole window of their own if they do
+    # not fit the pool; a take on each contiguous plane with a
+    # non-raising mode writes straight into place.
+    window = np.empty((2, written if k <= room else rows, k))
+    for src, dst in zip(hist, window):
+        np.take(src, keep, axis=1, out=dst[:written], mode="clip")
+    if k <= room:
+        z, orig, max_mod, due = (a[keep] for a in state)
+        return (orig + lo, z, max_mod, due, stops.period[orig],
+                stops.representative[orig], window)
+    for a in state:
+        a[:k] = a[keep]
+    _iterate_chunk(f, *(a[:k] for a in state), window, stops,
+                   range(_HEAD + 1, policy.budget + 1), policy, traps)
+    return None
+
+
+def _carve(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
+    """A (2, rows, width) view of the start of ``buffer``, each plane
+    C-contiguous."""
+    return buffer.reshape(2, -1)[:, :rows * width].reshape(2, rows, width)
+
+
+def _run_pool(f: FunctionExpression, pool: list, head: np.ndarray,
+              buffer: _Stops, rows: int, policy: OrbitPolicy, traps) -> tuple:
+    """Run the pieces in ``pool`` through the steps after the head in one
+    kernel call, with their whole window carved from ``head`` and their
+    stops in ``buffer``, both idle by then: ``(where, stops)``."""
+    *state, period, representative, carried = zip(*pool)
+    where, z, max_mod, due = map(np.concatenate, state)
+    stops = _Stops(*(a[:where.size] for a in buffer))
+    stops.escape_modulus.fill(0)
+    np.concatenate(period, out=stops.period)
+    np.concatenate(representative, out=stops.representative)
+    window = _carve(head, rows, where.size)
+    np.concatenate(carried, axis=2, out=window[:, :head.shape[1]])
+    _iterate_chunk(f, z, np.arange(where.size), max_mod, due, window, stops,
+                   range(_HEAD + 1, policy.budget + 1), policy, traps)
+    return where, stops
 
 
 # The scan's ``h -= re_cols`` overflows where real parts lie near the
 # largest float; an infinite difference is rightly no near-return.
 @np.errstate(over="ignore")
-def _iterate_chunk(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
-                   traps: list, head: np.ndarray, out: _Stops) -> None:
-    """Iterate the starts ``z`` in place and write their stops into ``out``.
+def _iterate_chunk(f: FunctionExpression, z: np.ndarray, orig: np.ndarray,
+                   max_mod: np.ndarray, pending_due: np.ndarray,
+                   hist: np.ndarray, out: _Stops, steps: range,
+                   policy: OrbitPolicy, traps: tuple) -> np.ndarray:
+    """Iterate the starts ``z`` in place over ``steps``, writing the stops
+    of start ``i`` into ``out`` at ``orig[i]``.
 
-    ``traps`` holds (center real, center imag, shrunk squared radius) of
-    the traps in use; ``head`` is working space, at least ``z.size``
-    wide, for the history rows of the first ``_HEAD`` steps.  Per-start
-    state lives in the prefix ``[:nc]`` of its arrays and is compacted
-    in place once few enough of those starts are still active, and at
-    step ``_HEAD``, when the history moves from the head's rows to the
-    whole window of the starts still alive.  Every alive start with no
-    pending return is scanned for near-returns against its history
-    window.  The scan gathers the history of those starts in blocks of
-    rows and compares real parts first (|Re d| <= |d|, so no return is
-    missed), then the complex modulus of the hits; the smallest
-    confirmed lag wins.
+    ``max_mod`` holds each start's modulus so far, and ``pending_due`` the
+    step at which its pending near-return is due against the target and
+    lag already in ``out.representative`` and ``out.period`` (-1 when
+    none).  ``hist`` holds the real and imaginary history rows: row s % w
+    holds the orbit point at step s, written for every step before
+    ``steps``; it needs rows only up to the last step.  ``traps`` holds
+    the hull and the (center real, center imag, shrunk squared radius)
+    of the traps in use.  Per-start state lives in the prefix ``[:nc]``
+    of these arrays and is compacted in place once few enough of those
+    starts are still active.  Every alive start with no pending return
+    is scanned for near-returns against its history window.  The scan
+    gathers the history of those starts in blocks of rows and compares
+    real parts first (|Re d| <= |d|, so no return is missed), then the
+    complex modulus of the hits; the smallest confirmed lag wins.
+
+    Returns the positions of the starts still alive after the last step;
+    when that step is the budget, none: they stop as BUDGET_EXHAUSTED.
     """
-    n, w, tol = z.size, policy.cycle_window, policy.cycle_tol
-    rows = min(w, policy.budget + 1)
+    w, tol = policy.cycle_window, policy.cycle_tol
     inner = policy.escape_radius / _BOUNDED_HEADROOM
+    hull, traps = traps
     kind, stop_step, escape_modulus, period, representative, max_out = out
-
-    orig = np.arange(n)  # position -> start index
-    alive = np.ones(n, dtype=bool)
-    max_mod = np.abs(z)
-    # Row s % w holds the orbit point at step s.  A window longer than
-    # the budget never wraps, so rows past the budget are never written.
-    # Up to step _HEAD the rows written are 0 to step, all in the head.
-    hist_re, hist_im = head[:, :, :n]
-    hist_re[0], hist_im[0] = z.real, z.imag
-    # A pending near-return is due at this step, against the target and
-    # lag already stored in representative and period; -1 when none, and
-    # 0, a step that never comes, once the start has stopped.
-    pending_due = np.full(n, -1, dtype=np.int64)
-    nc = n
+    hist_re, hist_im = hist
+    alive = np.ones(z.size, dtype=bool)
+    nc = z.size
 
     def stop(at, code, step):
         out = orig[at]
@@ -331,31 +417,35 @@ def _iterate_chunk(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
         stop_step[out] = step
         max_out[out] = max_mod[at]
         alive[at] = False
+        # 0, a step that never comes
         pending_due[at] = 0
         return out
 
-    for step in range(1, policy.budget + 1):
-        pos = alive[:nc].nonzero()[0]
-        z_new, overflowed = evaluate_with_overflow(f, z[pos])
+    for step in steps:
+        # The whole prefix steps, stopped starts too (at most a tenth of
+        # it, until the next compaction), so nothing is gathered.
+        z_new, overflowed = evaluate_with_overflow(f, z[:nc])
         m = np.abs(z_new)
-        z[pos] = z_new
-        max_mod[pos] = np.maximum(max_mod[pos], m)
+        z[:nc] = z_new
+        max_mod[:nc] = np.maximum(max_mod[:nc], m)
 
         escaped = overflowed | (m >= policy.escape_radius)
         if np.count_nonzero(escaped):
-            esc = pos[escaped]
-            m_esc = m[escaped]
+            esc = (escaped & alive[:nc]).nonzero()[0]
+            m_esc = m[esc]
             escape_modulus[stop(esc, _ESCAPED, step)] = np.where(
                 m_esc >= policy.escape_radius, m_esc, LARGEST)
 
         if traps:
-            caught = np.zeros(pos.size, dtype=bool)
+            # the others lie in no trap, or stopped (escaped ones too)
+            near = ((m <= hull) & alive[:nc]).nonzero()[0]
+            zn = z_new[near]
+            caught = np.zeros(near.size, dtype=bool)
             for cx, cy, r2 in traps:
-                caught |= (z_new.real - cx) ** 2 + (z_new.imag - cy) ** 2 <= r2
-            caught &= max_mod[pos] < inner
-            caught &= ~escaped  # whatever z_new an overflowing step left
+                caught |= (zn.real - cx) ** 2 + (zn.imag - cy) ** 2 <= r2
+            caught &= max_mod[near] < inner
             if np.count_nonzero(caught):
-                stop(pos[caught], _TRAPPED, step)
+                stop(near[caught], _TRAPPED, step)
 
         due = (pending_due[:nc] == step).nonzero()[0]
         if due.size:
@@ -402,22 +492,25 @@ def _iterate_chunk(f: FunctionExpression, z: np.ndarray, policy: OrbitPolicy,
         n_alive = int(np.count_nonzero(alive[:nc]))
         if n_alive == 0:
             break
-        grow = step == _HEAD and len(hist_re) < rows
-        if grow or n_alive < _COMPACT_FRACTION * nc:
+        if n_alive < _COMPACT_FRACTION * nc:
             keep = alive[:nc].nonzero()[0]
             for arr in (z, orig, max_mod, pending_due):
                 arr[:n_alive] = arr[keep]
-            # past the head, the whole window for the live starts only
-            new = np.empty((2, rows, n_alive)) if grow else (hist_re, hist_im)
-            for dst, src in zip(new, (hist_re, hist_im)):
-                for r in range(min(step + 1, w)):  # rows written so far
-                    dst[r, :n_alive] = src[r, keep]
-            hist_re, hist_im = new
+            # whole blocks of the rows written so far, as in the scan
+            written = min(step + 1, w)
+            block = max(1, _SCAN_BLOCK // n_alive)
+            for r0 in range(0, written, block):
+                for plane in hist:
+                    part = plane[r0:r0 + block]
+                    part[:, :n_alive] = part.take(keep, axis=1)
             alive[:n_alive] = True
             nc = n_alive
 
-    # The starts still alive exhausted their budget.
-    stop(alive[:nc].nonzero()[0], _BUDGET, policy.budget)
+    live = alive[:nc].nonzero()[0]
+    if steps[-1] < policy.budget:
+        return live
+    stop(live, _BUDGET, policy.budget)  # they exhausted their budget
+    return live[:0]
 
 
 def _ldexp(w: np.ndarray, e: np.ndarray) -> np.ndarray:
@@ -466,11 +559,13 @@ def find_fixed_points(f: FunctionExpression, region: DomainSpec,
     df = f.derivative()
     z = _cell_centers(region, seeds_per_axis)
 
-    # Iterate every seed the full budget (cheap, and lets multiple roots
-    # polish as far as the degenerate derivative allows); the residual
-    # filter afterwards is what decides convergence.  Huge values overflow
-    # g, the Newton step or the residual; the isfinite and residual filters
-    # drop those seeds, so numpy need not warn about them.
+    # Iterate every seed the full budget, so that multiple roots polish as
+    # far as the degenerate derivative allows, but retire a seed once a
+    # step leaves it bitwise unchanged: the step depends on z alone, so
+    # every later one would leave it unchanged too.  The residual filter
+    # afterwards is what decides convergence.  Huge values overflow g, the
+    # Newton step or the residual; the isfinite and residual filters drop
+    # those seeds, so numpy need not warn about them.
     alive = np.ones(z.shape, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         for _ in range(max_newton):
@@ -494,8 +589,10 @@ def find_fixed_points(f: FunctionExpression, region: DomainSpec,
             e = np.where(e > _SMITH_SAFE_EXPONENT, e, 0)
             z_new = z[idx] - _ldexp(g, -e) / _ldexp(gp, -e)
             ok = np.isfinite(z_new) & (np.abs(z_new) < 1e12)
+            # both parts' bits, so a zero that changes sign is a change
+            same = (z_new.view(np.int64) == z[idx].view(np.int64)).reshape(-1, 2)
             z[idx[ok]] = z_new[ok]
-            alive[idx[~ok]] = False
+            alive[idx[~ok | same.all(axis=1)]] = False
         final = np.abs(evaluate(f, z) - z)
 
     converged = (final < newton_tol) & contains(region, z, closed=True)

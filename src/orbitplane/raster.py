@@ -3,9 +3,10 @@
 ``classify_grid`` runs the orbit kernel of ``orbits`` on every pixel
 center, so a pixel gets exactly its center's single-point class; the
 kernel takes the pixels in chunks, which bounds its cycle history, and
-keeps the whole window only for the pixels still alive after a few steps.
-Each chunk's centers are made when it starts and its stops become
-classes before the next one, so a pixel keeps only its class byte.
+runs the pixels still alive after a few steps, from many chunks at once,
+in one shared pool for the rest of the budget.  Each chunk's centers are
+made when it starts and its stops become classes before the next one, a
+pool's when it has run, so a pixel keeps only its class byte.
 It first certifies trap discs about the fixed points in the window and
 stops the starts that enter one; that saves the steps of orbits that
 would creep towards a parabolic point for the rest of the budget and
@@ -68,7 +69,7 @@ class GridSpec:
             raise ValueError(f"grid of {self.nx}x{self.ny} pixels is above "
                              f"the cap of {MAX_PIXELS} pixels")
         dx, dy = self.dx, self.dy
-        if not (0 < dx < math.inf and 0 < dy < math.inf and dx / dy < math.inf):
+        if not (dx > 0 and dy > 0 and dx / dy < math.inf):
             raise ValueError("pixel sizes and their ratio must be positive "
                              "and finite")
 
@@ -140,9 +141,11 @@ def classify_grid(f: FunctionExpression, grid: GridSpec,
     The kernel runs over chunks of ``orbits._CHUNK`` pixels in row-major
     order: each chunk's centers are made when it starts, and its stops
     become that chunk's classes and trapped count before the next chunk
-    runs.  So beyond the class array all memory is per chunk, history
-    included; after ``orbits._HEAD`` steps a chunk holds the whole
-    window only for the starts still alive.
+    runs.  The starts still alive after ``orbits._HEAD`` steps go on in
+    a pool shared by many chunks, whose whole window takes the place of
+    the chunks' short history, and their classes are written again when
+    it has run.  So beyond the class array all memory is per chunk or
+    per pool, history included.
     The kernel gets the trap discs certified about the fixed points in
     the window (see ``orbits``) and stops a start that enters one while
     it and the disc lie below escape_radius / 100.  The orbit of such a
@@ -155,8 +158,8 @@ def classify_grid(f: FunctionExpression, grid: GridSpec,
     traps = certified_traps(f, grid.window, policy.escape_radius)
     classes = np.empty(grid.nx * grid.ny, dtype=np.uint8)
     trapped = 0
-    for lo, hi, stops in _stream(f, classes.size, grid.centers, policy, traps):
-        classes[lo:hi] = _classes(stops.kind, stops.max_modulus, policy)
+    for where, stops in _stream(f, classes.size, grid.centers, policy, traps):
+        classes[where] = _classes(stops.kind, stops.max_modulus, policy)
         trapped += int(np.count_nonzero(stops.kind == _TRAPPED))
     return PixelClassification(grid, classes.reshape(grid.ny, grid.nx), policy,
                                traps, trapped)

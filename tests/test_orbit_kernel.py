@@ -9,7 +9,8 @@ or never; coincidental near-returns that fail to confirm, at every lag;
 a monotone approach to a fixed point at window 1; and real parts near
 the largest float, whose differences overflow.  The kernel runs over
 chunks of starts and keeps a short history for each chunk's first steps;
-no chunk size and no head length may move a stop.
+the survivors of many chunks then share one pool for the rest of the
+budget.  No chunk size, head length or pool may move a stop.
 """
 
 import dataclasses
@@ -26,7 +27,7 @@ from orbitplane.expressions import parse
 from orbitplane.orbits import (_KINDS, _TRAPPED, CYCLE_LOCKED, MAX_HISTORY,
                                OrbitPolicy, _classes, _iterate, iterate_orbit)
 from orbitplane.raster import MAX_PIXELS, GridSpec, classify_grid
-from orbitplane.traps import certified_traps
+from orbitplane.traps import PETAL, TrapDisc, certified_traps
 from reference_orbit import assert_kernel_matches
 
 RABBIT = "z^2 + (-0.1226 + 0.7449i)"
@@ -126,9 +127,10 @@ def test_stops_do_not_depend_on_the_chunk_size(monkeypatch, name, chunk, span):
 
 
 # classify_grid streams the kernel: each chunk's centers are made when it
-# starts and its stops become classes before the next chunk runs.  No
-# chunk size may move a class or the trapped count from those of the
-# stops that _iterate collects over the whole grid.
+# starts and its stops become classes before the next chunk runs; the
+# classes of its survivors, placeholders until then, are overwritten when
+# their pool runs.  No chunk size may move a class or the trapped count
+# from those of the stops that _iterate collects over the whole grid.
 @pytest.mark.parametrize("chunk", [7, 4096])
 @pytest.mark.parametrize("name", CHUNK_GRIDS)
 def test_grid_classes_do_not_depend_on_the_chunk_size(monkeypatch, name, chunk):
@@ -143,9 +145,10 @@ def test_grid_classes_do_not_depend_on_the_chunk_size(monkeypatch, name, chunk):
 
 
 # A chunk keeps a short history for its first _HEAD steps and only then
-# the whole window, for the starts still alive.  Heads 1 and 3 regrow on
-# both grids (windows 8 and 32); a head of 40 covers both windows, so
-# nothing regrows.  No head length may move a stop.
+# the whole window, for the starts still alive, in a pool or their own.
+# Heads 1 and 3 hand shorter histories than the window over on both grids
+# (windows 8 and 32); a head of 40 covers both windows.  No head length
+# may move a stop.
 @pytest.mark.parametrize("head", [1, 3, 40])
 @pytest.mark.parametrize("name", CHUNK_GRIDS)
 def test_stops_do_not_depend_on_the_head_length(monkeypatch, name, head):
@@ -157,8 +160,8 @@ def test_stops_do_not_depend_on_the_head_length(monkeypatch, name, head):
 
 
 # Coincidental near-returns at every lag read every row of the history,
-# so a row that regrowing loses or moves makes a stop differ from the
-# reference loop's.
+# so a row that the hand-off after the head loses or moves makes a stop
+# differ from the reference loop's.
 @pytest.mark.parametrize("head", [1, 3, 5])
 def test_kernel_matches_reference_after_regrowing(monkeypatch, head):
     monkeypatch.setattr(orbits, "_HEAD", head)
@@ -170,7 +173,7 @@ def test_kernel_matches_reference_after_regrowing(monkeypatch, head):
 
 @pytest.mark.parametrize("name", CHUNK_GRIDS)
 def test_budget_below_the_head_matches_a_regrown_history(monkeypatch, name):
-    # the default head never regrows a window that the budget cuts short
+    # the default head never hands over a window that the budget cuts short
     f, traps, starts, _ = default_chunk_run(name)
     policy = dataclasses.replace(CHUNK_GRIDS[name][-1],
                                  budget=orbits._HEAD - 2)
@@ -193,6 +196,113 @@ def test_single_orbit_locking_after_the_head_keeps_its_verdict(monkeypatch):
     for head in (1, 40):
         monkeypatch.setattr(orbits, "_HEAD", head)
         assert iterate_orbit(f, starts[k], policy) == verdict
+
+
+def streamed(f, starts, policy, traps=()):
+    """The stops of ``_stream`` over a copy of ``starts``, collected as
+    ``_iterate`` does, and what it yielded in order: None for a chunk, the
+    size of a pool."""
+    z = starts.copy()
+    stops = orbits._empty_stops(z.size)
+    log = []
+    for where, part in orbits._stream(f, z.size, lambda lo, hi: z[lo:hi],
+                                      policy, traps):
+        log.append(None if isinstance(where, slice) else where.size)
+        for whole, p in zip(stops, part):
+            whole[where] = p
+    return stops, log
+
+
+def room(n, policy):
+    """The starts a pool holds: as many whole windows as fit the head."""
+    rows = min(policy.cycle_window, policy.budget + 1)
+    return min(rows, orbits._HEAD + 1) * min(n, orbits._CHUNK) // rows
+
+
+def assert_same_stops(got, want):
+    for field, a, b in zip(got._fields, got, want):
+        assert np.array_equal(a, b), field
+
+
+SIN_SMALL = GridSpec(Rect(-10.0, 10.0, -5.0, 5.0), 40, 20)
+
+
+def test_a_return_pending_at_the_hand_off_is_confirmed_in_the_pool():
+    # A rotation by 2 pi / 7 brings each start back near itself after 7
+    # steps, before the hand-off at step 8, and the return is confirmed
+    # at step 14 in the pool, against the carried target and lag.  The
+    # starts on |z| = 20 escape at once, so the four others fit the pool.
+    f = parse("z*(0.6234898018587336+0.7818314824680298i)")
+    policy = OrbitPolicy(escape_radius=10.0)
+    starts = np.concatenate([0.5 * np.exp(1j * np.arange(4)),
+                             20 * np.exp(1j * np.arange(60))])
+    stops, log = streamed(f, starts, policy)
+    assert log == [None, 4] and room(64, policy) >= 4
+    assert np.all(stops.kind[:4] == _KINDS.index(CYCLE_LOCKED))
+    assert np.all(stops.period[:4] == 7) and np.all(stops.step[:4] == 14)
+    assert orbits._HEAD < 14 and 14 - 7 <= orbits._HEAD
+    assert_same_stops(assert_kernel_matches(f, starts, policy), stops)
+
+
+def test_a_pool_runs_mid_stream_when_the_next_survivors_do_not_fit(
+        monkeypatch):
+    f = parse("sin(z)")
+    policy = OrbitPolicy()
+    traps = certified_traps(f, SIN_SMALL.window, policy.escape_radius)
+    starts = SIN_SMALL.pixel_centers().ravel()
+    want = _iterate(f, starts.copy(), policy, traps)
+    # 8 starts outlive the head, at most 2 a chunk of 16; a pool holds 4
+    monkeypatch.setattr(orbits, "_CHUNK", 16)
+    got, log = streamed(f, starts, policy, traps)
+    # a pool runs before the last chunk, and once more after it
+    last_chunk = max(k for k, x in enumerate(log) if x is None)
+    assert any(log[:last_chunk]) and log[-1]
+    assert all(x is None or x <= room(starts.size, policy) for x in log)
+    assert_same_stops(got, want)
+    assert_same_stops(assert_kernel_matches(f, starts, policy, traps), want)
+
+
+@pytest.mark.parametrize("chunk", [64, None])
+def test_a_chunk_whose_survivors_exceed_the_pool_runs_alone(monkeypatch,
+                                                            chunk):
+    # without traps, many sin z starts outlive the head: more than a pool
+    # of 9 / 32 of a chunk holds
+    f = parse("sin(z)")
+    policy = OrbitPolicy()
+    starts = SIN_SMALL.pixel_centers().ravel()
+    want = _iterate(f, starts.copy(), policy)
+    if chunk:
+        monkeypatch.setattr(orbits, "_CHUNK", chunk)
+    got, log = streamed(f, starts, policy)
+    pooled = sum(x for x in log if x)
+    assert pooled < np.count_nonzero(want.step > orbits._HEAD)
+    assert_same_stops(got, want)
+    assert_same_stops(assert_kernel_matches(f, starts, policy), want)
+
+
+@pytest.mark.parametrize("budget", [orbits._HEAD - 1, orbits._HEAD])
+def test_a_budget_at_or_below_the_head_runs_no_pool(budget):
+    f = parse("sin(z)")
+    policy = OrbitPolicy(budget=budget)
+    traps = certified_traps(f, SIN_SMALL.window, policy.escape_radius)
+    starts = SIN_SMALL.pixel_centers().ravel()
+    stops, log = streamed(f, starts, policy, traps)
+    assert log == [None]
+    assert np.count_nonzero(stops.step == budget)
+    assert_same_stops(assert_kernel_matches(f, starts, policy, traps), stops)
+
+
+def test_the_trap_test_reaches_the_far_side_of_a_disc():
+    # The kernel tests membership only where |z| lies within the hull
+    # max(|center| + radius) of the traps; a start just inside the far
+    # side of a disc is caught at once, and so is every start of a ring
+    # just inside the whole boundary.
+    trap = TrapDisc(1.25 + 0j, 1.25, PETAL)
+    ring = trap.center + trap.radius * (1 - 2.0 ** -30) * np.exp(
+        2j * np.pi * np.arange(64) / 64)
+    stops = assert_kernel_matches(parse("z"), ring, OrbitPolicy(),
+                                  traps=(trap,))
+    assert np.all(stops.kind == _TRAPPED) and np.all(stops.step == 1)
 
 
 def test_real_parts_near_the_largest_float_raise_no_warning():

@@ -11,6 +11,7 @@ from orbitplane.orbits import (ATTRACTING, BUDGET_EXHAUSTED, CYCLE_LOCKED,
                                ESCAPED, INDIFFERENT, OrbitPolicy, PointClass,
                                REPELLING, SUPERATTRACTING, classify_point,
                                find_fixed_points, iterate_orbit)
+from reference_newton import full_budget_fixed_points
 from reference_orbit import reference_orbit
 
 PI = math.pi
@@ -185,6 +186,23 @@ def test_fixed_point_residual_invariant():
     for rec in find_fixed_points(f, Rect(0.0, 4 * PI, -1.0, 1.0)):
         assert abs(complex(f(rec.location)) - rec.location) < 1e-10
         assert rec.residual < 1e-10
+
+
+# Newton retires a seed once a step leaves it bitwise unchanged; the
+# records stay those of the full budget.  z + z^4 converges only linearly
+# to its quadruple root, so its 183 records come from seeds that never
+# settle, and seeds of the others settle or oscillate between neighbours.
+@pytest.mark.parametrize("source, region", [
+    ("sin(z)", Rect(-10.0, 10.0, -5.0, 5.0)),
+    ("cos(z) + z", Rect(0.0, 4 * PI, -1.0, 1.0)),
+    ("-10*z*exp(-z) - 0.5*z", Rect(-5.0, 5.0, -10.0, 10.0)),
+    ("z + z^4", Rect(-1.0, 1.0, -1.0, 1.0)),
+])
+def test_retiring_settled_seeds_keeps_the_full_budget_records(source, region):
+    f = parse(source)
+    want = full_budget_fixed_points(f, region)
+    assert want
+    assert find_fixed_points(f, region) == want
 
 
 @pytest.mark.parametrize("source, region", [

@@ -180,13 +180,13 @@ def classify_grid_peak(nx, ny):
 
 
 # classify_grid streams the orbit kernel: a chunk's centers, stops and
-# cycle history live only while it runs, and a chunk keeps its whole
-# window only for the starts alive after the head, so beyond the one class
-# byte a pixel all memory is per chunk.  These grids read about 10.3 /
-# 10.8 / 11.7 MiB at 400x200 / 800x400 / 1600x800, and 12.8 / 26.1 /
-# 78.3 MiB with every start and its stops (57 bytes a pixel) held for the
-# whole grid.  tracemalloc counts the bytes numpy allocates, which unlike
-# RSS does not depend on the host.
+# cycle history live only while it runs, and the starts alive after the
+# head wait, 204 bytes each, for a pool of at most 9,216, so beyond the
+# one class byte a pixel all memory is per chunk or per pool.  These grids
+# read about 9.8 / 11.0 / 12.8 MiB at 400x200 / 800x400 / 1600x800, and
+# 12.8 / 26.1 / 78.3 MiB with every start and its stops (57 bytes a pixel)
+# held for the whole grid.  tracemalloc counts the bytes numpy allocates,
+# which unlike RSS does not depend on the host.
 def test_classify_grid_allocation_peak_is_bounded():
     assert classify_grid_peak(800, 400) < 14 * 2 ** 20
 
@@ -196,7 +196,8 @@ def test_classify_grid_allocation_peak_of_the_sinz_scenario_grid():
 
 
 def test_classify_grid_allocation_peak_hardly_grows_with_the_grid():
-    # four times the pixels adds only the class bytes, 0.92 MiB here
+    # four times the pixels adds the class bytes, 0.92 MiB here, and a
+    # fuller pool waiting to run: 0.87 MiB more at the peak
     assert classify_grid_peak(1600, 800) < classify_grid_peak(800, 400) + 2 * 2 ** 20
 
 
