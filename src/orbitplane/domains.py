@@ -39,14 +39,13 @@ __all__ = [
     "clearance",
     "contains",
     "contains_closure",
-    "curve_distance",
     "inradius_about",
     "diameter",
     "interior_point",
 ]
 
 # Rounding allowance, relative to the coordinates' magnitude, by which
-# curve_distance lowers its per-segment distance bounds.
+# _curve_distance lowers its per-segment distance bounds.
 _DISTANCE_RTOL = 1e-12
 
 
@@ -357,17 +356,13 @@ def _segment_segment_distance(a1: np.ndarray, b1: np.ndarray,
     return np.min(d, axis=1)
 
 
-def curve_distance(curve: SampledCurve, domain: DomainSpec) -> float:
-    """Distance from the segments of a closed curve to the closed domain.
+def _curve_distance(curve: SampledCurve, domain: DomainSpec,
+                    c: np.ndarray) -> float:
+    """Distance from the segments of a closed curve to the closed domain,
+    given the clearances ``c`` of its samples (see :func:`clearance`).
 
     Zero when a curve sample lies in the closed domain.
     """
-    return _curve_distance(curve, domain, clearance(domain, curve.points))
-
-
-def _curve_distance(curve: SampledCurve, domain: DomainSpec,
-                    c: np.ndarray) -> float:
-    """:func:`curve_distance` given the clearances ``c`` of the samples."""
     # A sample has clearance <= 0 exactly when it lies in the closed
     # domain: outside it, no distance to an axis-parallel edge rounds to 0.
     if np.any(c <= 0):

@@ -105,11 +105,10 @@ _CHUNK = 2 ** 15
 # or get a window of their own where they do not fit there.
 _HEAD = 8
 
-# The kernel refuses more history entries than this, counted as rows
-# times all the starts of a batch (1 GB of real and imaginary parts if
-# it were allocated at once), although it holds the whole window only
-# for the starts alive after the head; the default policy on the largest
-# grid needs 40.96M.
+# The kernel refuses a history window of more entries than this, counted
+# as rows times the starts of one chunk (1 GB of real and imaginary
+# parts): beside its head buffer it never holds more at once, whether in
+# a chunk's own window or in the pool's.
 MAX_HISTORY = 2 ** 26
 
 
@@ -271,9 +270,9 @@ def _stream(f: FunctionExpression, n: int, starts, policy: OrbitPolicy,
     after the last chunk.  A chunk whose survivors alone do not fit goes
     on with a window of its own.  Every orbit is independent of the
     others and every pooled start is at the same step, so neither the
-    chunk size nor the pool moves a stop.  More history entries, rows
-    times all the starts, than ``MAX_HISTORY`` raise ValueError before
-    any history is allocated.
+    chunk size nor the pool moves a stop.  A window of more entries,
+    rows times the starts of one chunk, than ``MAX_HISTORY`` raises
+    ValueError before any history is allocated.
 
     ``traps`` holds certified trap discs (``traps.TrapDisc``), each used
     only if |center| + radius < escape_radius / 100; a start still alive after
@@ -284,9 +283,9 @@ def _stream(f: FunctionExpression, n: int, starts, policy: OrbitPolicy,
     With no traps the kernel does no trap work at all.
     """
     rows = min(policy.cycle_window, policy.budget + 1)
-    if rows * n > MAX_HISTORY:
-        raise ValueError(f"history of {rows} rows by {n} starts is above "
-                         f"the cap of {MAX_HISTORY} entries")
+    if rows * min(n, _CHUNK) > MAX_HISTORY:
+        raise ValueError(f"history of {rows} rows by {min(n, _CHUNK)} starts "
+                         f"is above the cap of {MAX_HISTORY} entries")
     used = [t for t in traps
             if _trap_fits(t.center, t.radius, policy.escape_radius)]
     # No z with |z| above the hull lies in a used trap; its margin is far

@@ -11,9 +11,10 @@ Each check maps a domain boundary with :func:`curves.image_curve`, which
 does not refine; :func:`surrounds` bisects the image's chords that are
 longer than their endpoints' clearance from the target.  The clearances
 of the last round give the deepest penetration and bound which segments
-can hold the least distance to the domain.  The windings of all probes come
-from one call of :func:`curves.winding_numbers`, a crossing count per
-lattice row.
+can hold the least distance to the domain.  Once the refined polyline
+misses the closed target, one winding, about the first probe, decides
+for all probes; otherwise :func:`curves.winding_numbers` winds the whole
+lattice, with a crossing count per lattice row.
 
 Two distance regimes are needed in practice.  The nested-domain check
 requires the image curve merely to stay out of the open target domain,
@@ -103,7 +104,10 @@ def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
     Default (strict): the curve must not intersect the closed domain
     (``min_distance > min_distance_required``) and the winding number
     about every interior probe on a ``probe_grid`` x ``probe_grid``
-    lattice (at least one point) must be nonzero and unanimous.
+    lattice (at least one point) must be nonzero and unanimous.  When
+    the refined polyline misses the closed domain, the winding about the
+    first probe is reported for every probe, since the connected domain
+    lies in one component of the polyline's complement.
 
     With ``touch_tolerance`` set, the distance requirement is replaced by
     a sample-penetration bound: curve samples may touch the boundary but
@@ -140,10 +144,17 @@ def surrounds(curve: SampledCurve, domain: DomainSpec, probe_grid: int = 5,
         geom_ok = max_penetration <= touch_tolerance
 
     probes = _probe_points(domain, probe_grid)
+    # With min_distance > 0 the polyline misses the closed target, which
+    # is connected (a disc, a rectangle or a Jordan union) and so lies in
+    # one component of its complement.  Every probe lies in the open
+    # target, so all share one winding number, whose crossing count is
+    # exact, and no sample comes within min_clearance < min_distance of
+    # a probe.  A polyline that touches or crosses the target winds all.
+    tested = probes[:1] if min_distance > 0 else probes
     try:
-        values = winding_numbers(
-            work, probes, min_clearance=min(1e-9, max(min_distance / 2, 1e-300)),
-            max_points=_MAX_POINTS)
+        values = np.broadcast_to(winding_numbers(
+            work, tested, min_clearance=min(1e-9, max(min_distance / 2, 1e-300)),
+            max_points=_MAX_POINTS), probes.shape)
         windable = True
     except CurveTooClose as exc:
         values, windable = exc.partial, False

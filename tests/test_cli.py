@@ -160,9 +160,10 @@ BAD_FLAG_VALUES = {
                                 "-1,1,0,1e-323", "--nx", "4", "--ny", "4"],
     "render-pixels-above-cap": ["render", "--f", "z", "--window", "-1,1,-1,1",
                                 "--nx", "100000", "--ny", "100000"],
+    # 3000 rows by a chunk of 32,768 starts: 98.3M entries
     "render-history-above-cap": ["render", "--f", "z^2", "--window",
                                  "-1,1,-1,1", "--nx", "1000", "--ny", "1000",
-                                 "--cycle-window", "100"],
+                                 "--cycle-window", "3000", "--budget", "3000"],
     "fixed-points-seeds-zero": ["fixed-points", "--f", "z", "--rect",
                                 "-1,1,-1,1", "--seeds", "0"],
     "fixed-points-seeds-above-cap": ["fixed-points", "--f", "z", "--rect",
@@ -430,6 +431,16 @@ def test_render_reports_certified_traps(tmp_path):
                "--nx", "20", "--ny", "20") == 0
     rep = load_and_validate(tmp_path, "render.json")
     assert (rep["traps"], rep["trapped"]) == ([], 0)
+
+
+def test_render_history_is_capped_per_chunk_of_starts(tmp_path):
+    # 250 rows by 320,000 pixels is above the cap of 2^26 entries, but the
+    # kernel holds a window for one chunk of 32,768 starts at a time
+    assert run(tmp_path, "render", "--f", "sin(z)", "--window", "-10,10,-5,5",
+               "--nx", "800", "--ny", "400", "--cycle-window", "250",
+               "--budget", "300") == 0
+    rep = load_and_validate(tmp_path, "render.json")
+    assert sum(rep["counts"].values()) == 800 * 400
 
 
 def test_render_components_swprobe_pipeline(tmp_path):

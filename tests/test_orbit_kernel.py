@@ -322,6 +322,21 @@ def test_history_above_the_cap_is_refused_before_it_is_allocated():
         _iterate(parse("z"), np.ones(1, dtype=np.complex128), policy)
 
 
+def test_history_cap_counts_the_starts_of_one_chunk(monkeypatch):
+    # the kernel holds a window for at most one chunk of starts at a time
+    monkeypatch.setattr(orbits, "MAX_HISTORY", 64)
+    monkeypatch.setattr(orbits, "_CHUNK", 8)
+    starts = np.linspace(-0.9, 0.9, 40).astype(np.complex128)
+    assert_kernel_matches(parse(RABBIT), starts,
+                          OrbitPolicy(budget=20, cycle_window=8))
+    with pytest.raises(ValueError, match="9 rows by 8 starts"):
+        _iterate(parse(RABBIT), starts.copy(),
+                 OrbitPolicy(budget=20, cycle_window=9))
+    with pytest.raises(ValueError, match="65 rows by 1 starts"):
+        _iterate(parse(RABBIT), starts[:1].copy(),
+                 OrbitPolicy(budget=100, cycle_window=65))
+
+
 def test_default_policy_on_the_largest_grid_fits_the_history_cap():
     policy = OrbitPolicy()
     rows = min(policy.cycle_window, policy.budget + 1)

@@ -7,7 +7,8 @@ from orbitplane.curves import image_curve
 from orbitplane.domains import Disc, Rect, boundary
 from orbitplane.expressions import evaluate, parse
 from orbitplane.scenarios import ex51_domain, ex52_domain
-from orbitplane.surround import check_spl, check_nested_domains, surrounds
+from orbitplane.surround import (_probe_points, check_nested_domains, check_spl,
+                                 surrounds)
 
 PI = math.pi
 
@@ -245,3 +246,92 @@ def test_huge_image_reports_its_true_distance():
     assert pair.probes_tested == 21
     assert {wn for _, wn in pair.winding_values} == {1}
     assert rep.verdict
+
+
+# --- one winding decides a surround --------------------------------------
+# Once the refined polyline misses the closed target, surrounds winds the
+# first probe alone and repeats its winding; otherwise it winds the whole
+# lattice.  A spy on the kernel sees which, and the original kernel on the
+# spied curve gives what the whole lattice would have reported.
+
+def _spy_on_windings(monkeypatch):
+    import orbitplane.surround as surround_module
+
+    original, calls = surround_module.winding_numbers, []
+
+    def spy(curve, probes, **kwargs):
+        calls.append((curve, np.array(probes), kwargs))
+        return original(curve, probes, **kwargs)
+
+    monkeypatch.setattr(surround_module, "winding_numbers", spy)
+    return original, calls
+
+
+def _assert_one_winding_decides(reports, original, calls):
+    assert len(calls) == len(reports)
+    for rep, (curve, tested, kwargs) in zip(reports, calls):
+        if rep.min_distance == 0:
+            assert tested.size == rep.probes_tested
+            continue
+        probes = np.array([w for w, _ in rep.winding_values])
+        assert probes.size == rep.probes_tested > 1
+        assert tested.tolist() == probes[:1].tolist()
+        want = original(curve, probes, **kwargs)
+        assert [wn for _, wn in rep.winding_values] == want.tolist()
+
+
+def _seeded_pairs(seed, probe_grid):
+    # images of discs and rectangles about 0 against smaller targets
+    # within 3 of it: surrounds of winding 1 to 3, misses and crossings
+    rng = np.random.default_rng(seed)
+    sources = ["z^2", "2*z", "z^3 + z", "cos(z) + z", "exp(z)", "3*z - z^2"]
+
+    def domain(spread, lo, hi):
+        c = complex(*rng.uniform(-spread, spread, 2))
+        if rng.random() < 0.5:
+            return Disc(c, float(rng.uniform(lo, hi)))
+        w, h = rng.uniform(lo, hi, 2)
+        return Rect(c.real - w, c.real + w, c.imag - h, c.imag + h)
+
+    return [surrounds(image_curve(parse(sources[rng.integers(len(sources))]),
+                                  boundary(domain(0.5, 1.0, 2.0), 8.0)),
+                      domain(3.0, 0.2, 1.0), probe_grid)
+            for _ in range(12)]
+
+
+def test_one_winding_decides_on_the_worked_examples(monkeypatch, ex51, ex52):
+    original, calls = _spy_on_windings(monkeypatch)
+    nested = check_nested_domains(ex51, [ex51_domain(n) for n in range(2, 7)],
+                                  density=4.0)
+    spl = check_spl(ex52, [ex52_domain(n) for n in range(4)], density=4.0)
+    reports = [p.report for p in nested.pairs + spl.self_surround]
+    assert all(rep.min_distance > 0 for rep in reports)
+    _assert_one_winding_decides(reports, original, calls)
+
+
+@pytest.mark.parametrize("probe_grid", [5, 7, 9])
+def test_one_winding_decides_on_seeded_pairs(monkeypatch, probe_grid):
+    original, calls = _spy_on_windings(monkeypatch)
+    reports = _seeded_pairs(200 + probe_grid, probe_grid)
+    # surrounds that keep a distance, and crossings
+    assert any(rep.verdict for rep in reports)
+    assert any(rep.min_distance == 0 for rep in reports)
+    _assert_one_winding_decides(reports, original, calls)
+
+
+@pytest.mark.parametrize("source, radii, verdicts", [
+    # the image of |z| = 1 is the target circle |w| = 2: touch mode passes
+    ("2*z", [1.0, 2.0], [True]),
+    ("sin(z)", [1.0, 2.0, 3.0], [False, False]),
+])
+def test_every_probe_is_wound_when_the_image_meets_the_target(
+        monkeypatch, source, radii, verdicts):
+    _, calls = _spy_on_windings(monkeypatch)
+    domains = [Disc(0j, r) for r in radii]
+    rep = check_nested_domains(parse(source), domains, density=4.0)
+    assert [p.verdict for p in rep.pairs] == verdicts
+    assert len(calls) == len(rep.pairs)
+    for pair, target, (_, tested, _) in zip(rep.pairs, domains[1:], calls):
+        assert pair.report.min_distance == 0.0
+        assert tested.tolist() == _probe_points(target, 5).tolist()
+        assert tested.size == pair.report.probes_tested > 1

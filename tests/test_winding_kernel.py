@@ -10,9 +10,9 @@ from reference_winding import reference_winding
 
 from orbitplane.curves import (SampledCurve, _crossings, _hits, image_curve,
                                winding_number, winding_numbers)
-from orbitplane.domains import (Disc, Rect, RectUnion, _edge_distance,
-                                _segment_segment_distance, boundary, contains,
-                                curve_distance)
+from orbitplane.domains import (Disc, Rect, RectUnion, _curve_distance,
+                                _edge_distance, _segment_segment_distance,
+                                boundary, clearance, contains)
 from orbitplane.errors import AliasingUnresolved, CurveTooClose
 from orbitplane.expressions import parse
 from orbitplane.scenarios import (EX51_SOURCE, EX52_SOURCE, ex51_domain,
@@ -164,6 +164,12 @@ def test_thales_test_survives_rounding_of_the_disc_filter():
 
 
 # --- curve_distance -------------------------------------------------------
+
+def curve_distance(curve, domain):
+    """The least distance the surround check reads: ``_curve_distance`` on
+    the clearances of the samples."""
+    return _curve_distance(curve, domain, clearance(domain, curve.points))
+
 
 def unfiltered_distance(curve, domain):
     """curve_distance with the segment formula on every segment."""
