@@ -101,7 +101,6 @@ def _flag_nonfinite(values: np.ndarray, overflow: np.ndarray) -> np.ndarray:
     # np.count_nonzero is cheaper than ndarray.any on a few points
     if np.count_nonzero(finite) < finite.size:
         bad = ~finite
-        values = values.copy() if not values.flags.writeable else values
         values[bad] = SATURATION
         overflow |= bad
     return values

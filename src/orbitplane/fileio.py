@@ -14,7 +14,6 @@ from __future__ import annotations
 import io
 import json
 import os
-import tempfile
 import zipfile
 from importlib import resources
 from typing import Iterable
@@ -196,25 +195,20 @@ def encode_probe(report: SpidersWebReport) -> dict:
             "heuristic_note": _HEURISTIC_NOTE}
 
 
-def _umask() -> int:
-    mask = os.umask(0)
-    os.umask(mask)
-    return mask
-
-
 def atomic_write_bytes(path, data) -> None:
     """Write the bytes-like ``data`` to ``path`` via a renamed temporary file.
 
-    The file gets the mode a plain ``open`` would give it (0o666 less
-    the umask), not the owner-only mode of the temporary file.
+    The temporary file is created with mode 0o666, less the umask that
+    the operating system applies, so the file gets the mode a plain
+    ``open`` would give it without the process umask ever changing.
     """
     path = os.fspath(path)
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(os.path.dirname(path) or ".",
+                       f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
-            os.fchmod(fd, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

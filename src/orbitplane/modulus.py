@@ -176,9 +176,7 @@ def _brackets(f: FunctionExpression, df: Optional[FunctionExpression],
         np.negative(vals, out=vals)
     padded[0], padded[-1] = vals[-1], vals[0]
     cand = np.nonzero((vals <= padded[:-2]) & (vals <= padded[2:]))[0]
-    if cand.size == 0:
-        cand = np.array([int(np.argmin(vals))])
-    elif cand.size > _MAX_BRACKETS:
+    if cand.size > _MAX_BRACKETS:
         order = np.argsort(vals[cand], kind="stable")
         cand = cand[order[:_MAX_BRACKETS]]
     x, v = cand * step, vals[cand]

@@ -11,10 +11,10 @@ spirals.  One batched orbit kernel applies these rules: a single orbit
 is a batch of one, and ``raster.classify_grid`` runs it on every pixel,
 one chunk of starts at a time: the caller makes each chunk's starts and
 takes its stops before the next chunk runs.  A chunk keeps a short
-history for its first few steps; the few starts still alive then go on
-in one shared pool, which runs the rest of the budget for the survivors
-of many chunks at once, with the whole cycle window carved from the
-chunks' idle short history.
+history for its first few steps; the starts still alive then go on in a
+pool, the kernel's one tail path, which runs the rest of the budget for
+the survivors of many chunks at once, with the whole cycle window carved
+from the chunks' idle short history where it fits there.
 
 A grid may also stop a start early in a certified trap: a closed disc
 D = D(c, rho) that f provably maps into itself (see ``traps``), so an
@@ -101,14 +101,13 @@ _CHUNK = 2 ** 15
 
 # For its first this many steps a chunk keeps only the history rows they
 # write; most starts of a grid stop by then.  The survivors of each chunk
-# then join one pool, whose whole window takes the place of those rows,
-# or get a window of their own where they do not fit there.
+# then join a pool, whose whole window takes the place of those rows
+# where it fits there.
 _HEAD = 8
 
 # The kernel refuses a history window of more entries than this, counted
 # as rows times the starts of one chunk (1 GB of real and imaginary
-# parts): beside its head buffer it never holds more at once, whether in
-# a chunk's own window or in the pool's.
+# parts): beside its head buffer it never holds a larger window at once.
 MAX_HISTORY = 2 ** 26
 
 
@@ -262,17 +261,18 @@ def _stream(f: FunctionExpression, n: int, starts, policy: OrbitPolicy,
 
     A chunk runs its first ``_HEAD`` steps with ``_HEAD`` + 1 history
     rows, in one buffer that every chunk reuses.  Each start still alive
-    then moves into one pool with its z, max modulus, pending return and
+    then moves into the pool with its z, max modulus, pending return and
     head rows; its entry in the chunk's stops is a placeholder that the
-    pool's entry overwrites.  The pool runs the rest of the budget for
-    all its starts at once, with the whole window carved from the head
-    buffer, when the next chunk's survivors would not fit there and
-    after the last chunk.  A chunk whose survivors alone do not fit goes
-    on with a window of its own.  Every orbit is independent of the
-    others and every pooled start is at the same step, so neither the
-    chunk size nor the pool moves a stop.  A window of more entries,
-    rows times the starts of one chunk, than ``MAX_HISTORY`` raises
-    ValueError before any history is allocated.
+    pool's entry overwrites.  The pool is the kernel's only tail path: it
+    runs the rest of the budget for all its starts at once, with the
+    whole window carved from the head buffer, when the next chunk's
+    survivors would not fit there and after the last chunk.  A chunk
+    whose survivors alone do not fit, a single orbit's among them, runs
+    at once as a pool of its own, in a window allocated for it.  Every
+    orbit is independent of the others and every pooled start is at the
+    same step, so neither the chunk size nor the pool moves a stop.  A
+    window of more entries, rows times the starts of one chunk, than
+    ``MAX_HISTORY`` raises ValueError before any history is allocated.
 
     ``traps`` holds certified trap discs (``traps.TrapDisc``), each used
     only if |center| + radius < escape_radius / 100; a start still alive after
@@ -304,50 +304,42 @@ def _stream(f: FunctionExpression, n: int, starts, policy: OrbitPolicy,
         stops = _Stops(*(a[:hi - lo] for a in buffer))
         for a in stops:
             a.fill(0)
-        piece = _run_chunk(f, starts(lo, hi), lo, head, room, rows, stops,
-                           policy, traps)
+        piece = _run_chunk(f, starts(lo, hi), lo, head, stops, policy, traps)
         yield slice(lo, hi), stops
         if piece:
-            if sum(p[0].size for p in pool + [piece]) > room:
+            if pool and sum(p[0].size for p in pool + [piece]) > room:
                 yield _run_pool(f, pool, head, buffer, rows, policy, traps)
                 pool = []
             pool.append(piece)
+            if piece[0].size > room:
+                yield _run_pool(f, pool, head, buffer, rows, policy, traps)
+                pool = []
     if pool:
         yield _run_pool(f, pool, head, buffer, rows, policy, traps)
 
 
 def _run_chunk(f: FunctionExpression, z: np.ndarray, lo: int,
-               head: np.ndarray, room: int, rows: int, stops: _Stops,
-               policy: OrbitPolicy, traps) -> Optional[tuple]:
+               head: np.ndarray, stops: _Stops, policy: OrbitPolicy,
+               traps) -> Optional[tuple]:
     """Run the chunk ``z`` of starts ``lo`` on through the head steps, with
-    its history in ``head``.  Its survivors return as a piece for the pool
-    if they fit ``room``: their indices, z, max modulus, pending return
-    and head rows.  More survivors go on at once, in a window of their own.
+    its history in ``head``.  Its survivors return as a piece for the pool:
+    their indices, z, max modulus, pending return and head rows.
     """
     state = (z, np.arange(z.size), np.abs(z), np.full(z.size, -1, dtype=np.int64))
-    written = head.shape[1]  # the history rows of the head steps
-    hist = _carve(head, written, z.size)
+    hist = _carve(head, head.shape[1], z.size)
     hist[0, 0], hist[1, 0] = z.real, z.imag
     keep = _iterate_chunk(f, *state, hist, stops,
                           range(1, min(_HEAD, policy.budget) + 1), policy, traps)
-    k = keep.size
-    if k == 0:
+    if keep.size == 0:
         return None
-    # The survivors' head rows, in a whole window of their own if they do
-    # not fit the pool; a take on each contiguous plane with a
-    # non-raising mode writes straight into place.
-    window = np.empty((2, written if k <= room else rows, k))
-    for src, dst in zip(hist, window):
-        np.take(src, keep, axis=1, out=dst[:written], mode="clip")
-    if k <= room:
-        z, orig, max_mod, due = (a[keep] for a in state)
-        return (orig + lo, z, max_mod, due, stops.period[orig],
-                stops.representative[orig], window)
-    for a in state:
-        a[:k] = a[keep]
-    _iterate_chunk(f, *(a[:k] for a in state), window, stops,
-                   range(_HEAD + 1, policy.budget + 1), policy, traps)
-    return None
+    # a take on each contiguous plane with a non-raising mode writes
+    # straight into place
+    carried = np.empty((2, head.shape[1], keep.size))
+    for src, dst in zip(hist, carried):
+        np.take(src, keep, axis=1, out=dst, mode="clip")
+    z, orig, max_mod, due = (a[keep] for a in state)
+    return (orig + lo, z, max_mod, due, stops.period[orig],
+            stops.representative[orig], carried)
 
 
 def _carve(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
@@ -359,15 +351,17 @@ def _carve(buffer: np.ndarray, rows: int, width: int) -> np.ndarray:
 def _run_pool(f: FunctionExpression, pool: list, head: np.ndarray,
               buffer: _Stops, rows: int, policy: OrbitPolicy, traps) -> tuple:
     """Run the pieces in ``pool`` through the steps after the head in one
-    kernel call, with their whole window carved from ``head`` and their
-    stops in ``buffer``, both idle by then: ``(where, stops)``."""
+    kernel call, with their stops in ``buffer`` and their whole window
+    carved from ``head``, both idle by then, or allocated where it does
+    not fit there: ``(where, stops)``."""
     *state, period, representative, carried = zip(*pool)
     where, z, max_mod, due = map(np.concatenate, state)
     stops = _Stops(*(a[:where.size] for a in buffer))
     stops.escape_modulus.fill(0)
     np.concatenate(period, out=stops.period)
     np.concatenate(representative, out=stops.representative)
-    window = _carve(head, rows, where.size)
+    window = (_carve(head, rows, where.size) if rows * where.size <= head[0].size
+              else np.empty((2, rows, where.size)))
     np.concatenate(carried, axis=2, out=window[:, :head.shape[1]])
     _iterate_chunk(f, z, np.arange(where.size), max_mod, due, window, stops,
                    range(_HEAD + 1, policy.budget + 1), policy, traps)

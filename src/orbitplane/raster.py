@@ -142,10 +142,10 @@ def classify_grid(f: FunctionExpression, grid: GridSpec,
     order: each chunk's centers are made when it starts, and its stops
     become that chunk's classes and trapped count before the next chunk
     runs.  The starts still alive after ``orbits._HEAD`` steps go on in
-    a pool shared by many chunks, whose whole window takes the place of
-    the chunks' short history, and their classes are written again when
-    it has run.  So beyond the class array all memory is per chunk or
-    per pool, history included.
+    a pool shared by many chunks, the kernel's one tail path, whose
+    window takes the place of the chunks' short history where it fits,
+    and their classes are written again when it has run.  So beyond the
+    class array all memory is per chunk or per pool, history included.
     The kernel gets the trap discs certified about the fixed points in
     the window (see ``orbits``) and stops a start that enters one while
     it and the disc lie below escape_radius / 100.  The orbit of such a
@@ -202,14 +202,15 @@ def _runs(mask: np.ndarray):
     return (*np.nonzero(edges == 1), np.nonzero(edges == -1)[1])
 
 
-def _label_mask(mask: np.ndarray, connectivity: int) -> np.ndarray:
+def _label_mask(mask: np.ndarray, connectivity: int) -> tuple:
     """Run-based two-scan labeling of a boolean mask; 0 outside it.
 
     The mask is cut into horizontal runs; each run is joined to every run
     of the previous row that overlaps it (or touches it diagonally under
     8-connectivity), and a union-find over runs merges them (He, Chao &
     Suzuki, IEEE Trans. Image Process. 17, 2008).  Components are
-    numbered from 1 in row-major order of their first pixel.
+    numbered from 1 in row-major order of their first pixel.  Returns
+    the labels, the runs (see ``_runs``) and the label of each run.
     """
     run_row, run_start, run_end = _runs(mask)
     n_runs = run_row.size
@@ -249,7 +250,7 @@ def _label_mask(mask: np.ndarray, connectivity: int) -> np.ndarray:
     run_label = np.cumsum(is_root)[roots].astype(np.int32)
     labels = np.zeros(mask.shape, dtype=np.int32)
     labels[mask] = np.repeat(run_label, run_end - run_start)
-    return labels
+    return labels, (run_row, run_start, run_end), run_label
 
 
 def label_components(classification: PixelClassification, target: PointClass,
@@ -258,10 +259,9 @@ def label_components(classification: PixelClassification, target: PointClass,
     if connectivity not in (4, 8):
         raise ValueError("connectivity must be 4 or 8")
     mask = classification.classes == int(target)
-    labels = _label_mask(mask, connectivity)
+    labels, (run_row, run_start, run_end), run_label = _label_mask(
+        mask, connectivity)
     ny, nx = mask.shape
-    run_row, run_start, run_end = _runs(mask)
-    run_label = labels[run_row, run_start]
     n_comp = int(labels.max(initial=0))
 
     size = np.bincount(run_label, weights=run_end - run_start,
@@ -361,7 +361,7 @@ def spiders_web_probe(labeling: ComponentLabeling, center: complex,
     results = []
     for r in radii:
         outside[1:-1, 1:-1] = ~(member & (dist >= r))
-        labels = _label_mask(outside, 12 - labeling.connectivity)
+        labels = _label_mask(outside, 12 - labeling.connectivity)[0]
         results.append((r, bool(labels[iy, ix] != labels[0, 0])))
     return SpidersWebReport(center, tuple(results), all(ok for _, ok in results), cid)
 

@@ -42,6 +42,17 @@ def test_atomic_write_mode_follows_umask(tmp_path, umask, mode):
     assert path.stat().st_mode & 0o777 == mode
 
 
+def test_atomic_write_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    # another thread creating a file while the umask is changed would
+    # get the wrong mode
+    calls, umask = [], os.umask
+    monkeypatch.setattr(os, "umask",
+                        lambda mask: calls.append(mask) or umask(mask))
+    fileio.atomic_write_text(tmp_path / "a.txt", "one")
+    assert calls == []
+    assert (tmp_path / "a.txt").read_text() == "one"
+
+
 def test_curves_csv_blank_line_between_curves(tmp_path):
     a = SampledCurve(np.array([0j, 1 + 0j, 1j]))
     b = SampledCurve(np.array([2 + 0j, 3 + 0j, 3 + 1j]))

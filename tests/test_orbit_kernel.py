@@ -145,7 +145,7 @@ def test_grid_classes_do_not_depend_on_the_chunk_size(monkeypatch, name, chunk):
 
 
 # A chunk keeps a short history for its first _HEAD steps and only then
-# the whole window, for the starts still alive, in a pool or their own.
+# the whole window, for the starts still alive, in a pool.
 # Heads 1 and 3 hand shorter histories than the window over on both grids
 # (windows 8 and 32); a head of 40 covers both windows.  No head length
 # may move a stop.
@@ -265,8 +265,9 @@ def test_a_pool_runs_mid_stream_when_the_next_survivors_do_not_fit(
 @pytest.mark.parametrize("chunk", [64, None])
 def test_a_chunk_whose_survivors_exceed_the_pool_runs_alone(monkeypatch,
                                                             chunk):
-    # without traps, many sin z starts outlive the head: more than a pool
-    # of 9 / 32 of a chunk holds
+    # Without traps, many sin z starts outlive the head: more than a pool
+    # of 9 / 32 of a chunk holds.  Such a chunk runs at once as a pool of
+    # its own, in a window allocated for it, through the same tail path.
     f = parse("sin(z)")
     policy = OrbitPolicy()
     starts = SIN_SMALL.pixel_centers().ravel()
@@ -274,10 +275,30 @@ def test_a_chunk_whose_survivors_exceed_the_pool_runs_alone(monkeypatch,
     if chunk:
         monkeypatch.setattr(orbits, "_CHUNK", chunk)
     got, log = streamed(f, starts, policy)
-    pooled = sum(x for x in log if x)
-    assert pooled < np.count_nonzero(want.step > orbits._HEAD)
+    alone = [x for x in log if x and x > room(starts.size, policy)]
+    assert alone and max(alone) <= min(starts.size, orbits._CHUNK)
+    assert sum(x for x in log if x) == np.count_nonzero(
+        want.step > orbits._HEAD)
     assert_same_stops(got, want)
     assert_same_stops(assert_kernel_matches(f, starts, policy), want)
+
+
+# Under the default policy the head buffer of a batch of one holds no
+# whole window (room 9 * 1 // 32 = 0), so a single orbit that outlives
+# the head runs its tail as a pool of its own, in a window allocated for
+# it: the grid's tail path.
+@pytest.mark.parametrize("source, z0", [
+    ("sin(z)", -4.75 - 4.75j),  # runs the whole budget
+    ("z^2 - 1.3107", 0.5),  # locks at step 35 with period 4
+    (RABBIT, 0.0),  # a return pending at the hand-off locks at step 10
+])
+def test_a_single_orbit_runs_its_tail_in_a_pool_of_one(source, z0):
+    f, policy = parse(source), OrbitPolicy()
+    start = np.array([z0], dtype=np.complex128)
+    assert room(1, policy) == 0
+    stops, log = streamed(f, start, policy)
+    assert log == [None, 1] and stops.step[0] > orbits._HEAD
+    assert_same_stops(assert_kernel_matches(f, start, policy), stops)
 
 
 @pytest.mark.parametrize("budget", [orbits._HEAD - 1, orbits._HEAD])
